@@ -33,10 +33,11 @@ type ChaosConfig struct {
 	// DelayProb / MaxDelay add a random hold before delivery.
 	DelayProb float64
 	MaxDelay  time.Duration
-	// KillAfterCalls, when > 0, permanently kills the transport after that
-	// many calls — every later call (and the in-flight one) returns
-	// ErrWorkerKilled.
-	KillAfterCalls int
+	// KillOnPath, when set, permanently kills the transport on its first
+	// call to that path, e.g. "/submit" — that call and every later one
+	// return ErrWorkerKilled. Keying the kill to the worker's own progress
+	// makes it land mid-sweep however fast the sweep runs.
+	KillOnPath string
 }
 
 // Chaos wraps a Transport in seeded failure injection. Safe for concurrent
@@ -92,7 +93,7 @@ func (c *Chaos) Call(path string, body []byte) ([]byte, error) {
 		return nil, ErrWorkerKilled
 	}
 	c.calls++
-	if c.cfg.KillAfterCalls > 0 && c.calls >= c.cfg.KillAfterCalls {
+	if c.cfg.KillOnPath != "" && path == c.cfg.KillOnPath {
 		c.killed = true
 		c.mu.Unlock()
 		return nil, ErrWorkerKilled

@@ -33,9 +33,11 @@ func chaosSpec() fleet.Spec {
 }
 
 // chaosFleet runs n workers against c, each behind its own seeded Chaos
-// wire. Worker 0 carries a kill switch when killAfter > 0. Returns the
-// chaos wrappers for schedule assertions.
-func chaosFleet(t *testing.T, c *Coordinator, n, killAfter int, seed int64) []*Chaos {
+// wire. Worker 0 dies on its first /submit: it always holds a lease then,
+// so the kill lands mid-sweep however fast the shards run, and the dead
+// worker's shard must be reassigned. Returns the chaos wrappers for
+// schedule assertions.
+func chaosFleet(t *testing.T, c *Coordinator, n int, seed int64) []*Chaos {
 	t.Helper()
 	wires := make([]*Chaos, n)
 	var wg sync.WaitGroup
@@ -49,7 +51,7 @@ func chaosFleet(t *testing.T, c *Coordinator, n, killAfter int, seed int64) []*C
 			MaxDelay:      3 * time.Millisecond,
 		}
 		if i == 0 {
-			cfg.KillAfterCalls = killAfter
+			cfg.KillOnPath = "/submit"
 		}
 		wires[i] = NewChaos(Loopback{H: c.Handle}, cfg)
 		wg.Add(1)
@@ -63,9 +65,6 @@ func chaosFleet(t *testing.T, c *Coordinator, n, killAfter int, seed int64) []*C
 				RetryMax:  20 * time.Millisecond,
 			})
 			if err != nil {
-				if i == 0 && errors.Is(err, ErrWorkerKilled) {
-					return // died during startup — that's a legal schedule
-				}
 				t.Errorf("worker %d: %v", i, err)
 				return
 			}
@@ -96,7 +95,7 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	wires := chaosFleet(t, c, 4, 25, 1)
+	wires := chaosFleet(t, c, 4, 1)
 	res, err := c.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +127,9 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 		t.Errorf("schedule too gentle to be a chaos test: %+v", stats)
 	}
 	st := c.Status()
+	if st.Reassignments == 0 {
+		t.Error("no shard was reassigned — the killed worker's lease never expired")
+	}
 	t.Logf("chaos schedule: %+v; coordinator: reassigns=%d degradeLevel=%d shardsTotal=%d",
 		stats, st.Reassignments, st.DegradeLevel, st.ShardsTotal)
 }
@@ -149,7 +151,7 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosFleet(t, first, 3, 20, 7)
+	chaosFleet(t, first, 3, 7)
 	res1, err := first.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +171,7 @@ func TestChaosCoordinatorKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer second.Close()
-	chaosFleet(t, second, 3, 30, 13)
+	chaosFleet(t, second, 3, 13)
 	res2, err := second.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -204,18 +206,21 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// A killed transport is dead forever — no zombie resurrection.
+// A killed transport is dead forever — no zombie resurrection. The kill
+// fires on the first call to its path; calls to other paths before it pass.
 func TestChaosKillIsPermanent(t *testing.T) {
 	inner := Loopback{H: func(path string, body []byte) (int, []byte) { return 200, []byte("{}") }}
-	ch := NewChaos(inner, ChaosConfig{Seed: 1, KillAfterCalls: 3})
+	ch := NewChaos(inner, ChaosConfig{Seed: 1, KillOnPath: "/submit"})
 	var killed int
-	for i := 0; i < 10; i++ {
-		if _, err := ch.Call("/x", nil); errors.Is(err, ErrWorkerKilled) {
+	for _, path := range []string{"/spec", "/lease", "/heartbeat", "/submit", "/lease", "/heartbeat", "/submit"} {
+		if _, err := ch.Call(path, nil); errors.Is(err, ErrWorkerKilled) {
 			killed++
+		} else if err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 	}
-	if killed != 8 {
-		t.Errorf("calls 3..10 should all die: %d killed, want 8", killed)
+	if killed != 4 {
+		t.Errorf("the first /submit and every call after it should die: %d killed, want 4", killed)
 	}
 	if !ch.Stats().Killed {
 		t.Error("stats do not report the kill")

@@ -71,8 +71,12 @@ func (r *runner) armFaults() error {
 		}
 	}
 	if len(crashes) > 0 && r.pol.WatchdogInterval > 0 {
-		for at := r.pol.WatchdogInterval; at <= r.horizon; at += r.pol.WatchdogInterval {
-			if _, err := r.sched.At(sim.Time(at), r.watchdogProbe); err != nil {
+		// Probe j fires at j×interval through the horizon. The series is
+		// reserved whole and chained: each probe queues its successor.
+		if n := int(r.horizon / r.pol.WatchdogInterval); n > 0 {
+			seq := r.sched.Reserve(n)
+			at := sim.Time(r.pol.WatchdogInterval)
+			if _, err := r.sched.AtCallSeq(at, seq, r, sim.Arg{Op: opWatchdog, I0: 1, I1: int64(seq)}); err != nil {
 				return err
 			}
 		}

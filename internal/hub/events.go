@@ -21,7 +21,7 @@ import (
 // Runner event ops. The read chain carries (stream, k) plus retries/failed
 // packed into I1; the transfer chain carries an index into the xfer pool.
 const (
-	opStartRead     = iota + 1 // P0 *stream, I0 sample index
+	opStartRead     = iota + 1 // P0 *stream, I0 sample index, I1 reserved seq
 	opReadBusDone              // sensor bus transaction done; MCU formats next
 	opReadFormatted            // MCU formatting done; dispatch, retry, or drop
 	opXferRaised               // I0 xfer slot: interrupt raised at the MCU
@@ -33,14 +33,22 @@ const (
 	opMeterTick                // in-situ meter sampling instant (meter.go)
 	opMeterFlushed             // I0 sample count, I1 crash generation: flush done
 	opPowerTick                // supply ledger settlement instant (power.go)
-	opPowerStep                // I0 step index: harvest trace level change
+	opPowerStep                // I0 step index, I1 reserved seq: harvest level change
+	opWatchdog                 // I0 probe number, I1 reserved seq: MCU liveness probe
 )
 
 // OnEvent dispatches the runner's typed events (see the ops above).
 func (r *runner) OnEvent(a sim.Arg) {
 	switch a.Op {
 	case opStartRead:
-		r.startRead(a.P0.(*stream), int(a.I0))
+		// The series advances here, not in startRead: crash and brownout
+		// re-collection call startRead directly, long after the read's own
+		// instant, and must not re-push its successor.
+		s, k := a.P0.(*stream), int(a.I0)
+		if k+1 < s.perWindow*r.cfg.Windows {
+			r.chainNext(a, sim.Time(int64(k+1)*int64(s.period)))
+		}
+		r.startRead(s, k)
 	case opReadBusDone:
 		s := a.P0.(*stream)
 		s.track.Set(0, energy.Idle)
@@ -86,7 +94,26 @@ func (r *runner) OnEvent(a sim.Arg) {
 	case opPowerTick:
 		r.powerTick()
 	case opPowerStep:
+		if i := int(a.I0) + 1; i < len(r.battSteps) {
+			r.chainNext(a, sim.Time(r.battSteps[i].At))
+		}
 		r.powerStep(int(a.I0))
+	case opWatchdog:
+		if at := sim.Time((a.I0 + 1) * int64(r.pol.WatchdogInterval)); at <= sim.Time(r.horizon) {
+			r.chainNext(a, at)
+		}
+		r.watchdogProbe()
+	}
+}
+
+// chainNext queues the successor of the periodic-series member a is
+// dispatching (read, harvest step, watchdog probe): the same op and payload
+// at instant at, member index I0+1 under the next reserved seq I1+1. The
+// series was reserved whole by scheduleAll, armPower or armFaults.
+func (r *runner) chainNext(a sim.Arg, at sim.Time) {
+	next := sim.Arg{Op: a.Op, P0: a.P0, I0: a.I0 + 1, I1: a.I1 + 1}
+	if _, err := r.sched.AtCallSeq(at, uint64(next.I1), r, next); err != nil {
+		r.fail(err)
 	}
 }
 

@@ -12,11 +12,11 @@ package hub
 // chaos layer's crash machinery through the same mcu seam.
 //
 // Settlement runs as scheduled DES events: a periodic opPowerTick at the
-// supply's ledger rate, plus one opPowerStep per harvest trace level change
-// (the trace is compiled once and cached across arena reuses). Battery
-// self-discharge is modeled as a real draw on a dedicated "battery" energy
-// track, so leakage flows through the meter's conservation ledger and stays
-// separable in PerComponent.
+// supply's ledger rate, plus one opPowerStep per harvest trace level change,
+// chained under reserved sequence numbers (the trace is compiled once and
+// cached across arena reuses). Battery self-discharge is modeled as a real
+// draw on a dedicated "battery" energy track, so leakage flows through the
+// meter's conservation ledger and stays separable in PerComponent.
 //
 // A disarmed supply (no battery) arms nothing: no events, no track, no
 // counters. Mains power therefore recovers the unobserved run byte for byte,
@@ -91,12 +91,14 @@ func (r *runner) armPower() error {
 		r.battTraceSrc = s.Harvest
 		r.battTraceHzn = r.horizon
 	}
-	for i, stp := range r.battSteps {
-		if stp.At == 0 {
-			r.battHarvestW = stp.Watts
-			continue
-		}
-		if _, err := r.sched.AtCall(sim.Time(stp.At), r, sim.Arg{Op: opPowerStep, I0: int64(i)}); err != nil {
+	// The trace's first step is always at 0 and sets the opening level; the
+	// later ones are reserved whole and chained, each queuing its successor.
+	if len(r.battSteps) > 0 {
+		r.battHarvestW = r.battSteps[0].Watts
+	}
+	if n := len(r.battSteps) - 1; n > 0 {
+		seq := r.sched.Reserve(n)
+		if _, err := r.sched.AtCallSeq(sim.Time(r.battSteps[1].At), seq, r, sim.Arg{Op: opPowerStep, I0: 1, I1: int64(seq)}); err != nil {
 			return err
 		}
 	}

@@ -304,16 +304,22 @@ func (r *runner) prime() {
 	}
 }
 
-// scheduleAll enqueues every sensor read of the run.
+// scheduleAll reserves each stream's whole read series on the event kernel
+// and queues only its first read: one block of sequence numbers per stream,
+// read k owning base+k. The opStartRead dispatch (events.go) chains read k+1
+// under base+k+1, so the chained series dispatches in exactly the (at, seq)
+// order the fully pre-enqueued one did, while the heap holds one pending read
+// per stream instead of every read of the run (DESIGN.md §7).
 func (r *runner) scheduleAll() error {
 	for _, s := range r.streams {
 		total := s.perWindow * r.cfg.Windows
 		r.res.ScheduledSamples += total
-		for k := 0; k < total; k++ {
-			at := sim.Time(int64(k) * int64(s.period))
-			if _, err := r.sched.AtCall(at, r, sim.Arg{Op: opStartRead, P0: s, I0: int64(k)}); err != nil {
-				return err
-			}
+		if total == 0 {
+			continue
+		}
+		seq := r.sched.Reserve(total)
+		if _, err := r.sched.AtCallSeq(0, seq, r, sim.Arg{Op: opStartRead, P0: s, I1: int64(seq)}); err != nil {
+			return err
 		}
 	}
 	return nil

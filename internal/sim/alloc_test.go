@@ -178,3 +178,38 @@ func BenchmarkSchedulerCancelHeavy(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestSteadyStateAtCallSeqZeroAlloc pins the chained-series path: pushing
+// under a reserved seq and dispatching it allocates nothing once warm.
+func TestSteadyStateAtCallSeqZeroAlloc(t *testing.T) {
+	s := NewScheduler()
+	sink := &recorderCB{s: s}
+	sink.args = make([]Arg, 0, 16)
+	sink.ats = make([]Time, 0, 16)
+	for i := 0; i < 64; i++ {
+		if _, err := s.AfterCall(time.Microsecond, sink, Arg{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	const perRun, runs = 16, 100
+	seq := s.Reserve(perRun * (runs + 1)) // AllocsPerRun adds one warm-up call
+	got := testing.AllocsPerRun(runs, func() {
+		sink.args = sink.args[:0]
+		sink.ats = sink.ats[:0]
+		for i := 0; i < perRun; i++ {
+			if _, err := s.AtCallSeq(s.Now()+Time(i), seq, sink, Arg{I0: int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+			seq++
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("steady-state AtCallSeq schedule+dispatch allocates %v per run, want 0", got)
+	}
+}

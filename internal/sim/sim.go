@@ -3,7 +3,10 @@
 // The kernel advances a virtual clock (nanosecond resolution) by executing
 // events in timestamp order. Events scheduled for the same instant run in
 // the order they were scheduled (a strictly monotone sequence number breaks
-// ties), which makes every run byte-for-byte reproducible.
+// ties), which makes every run byte-for-byte reproducible. A periodic series
+// may Reserve its sequence numbers up front and push each member only when
+// its predecessor dispatches (AtCallSeq): it then runs in exactly the order
+// of the fully enqueued series while the queue holds one member at a time.
 //
 // The kernel is single-threaded by design: event callbacks run on the
 // goroutine that calls Run, so model code needs no locking. This mirrors the
@@ -103,7 +106,7 @@ func Call(fn func()) Done {
 // Exactly one of fn and cb is set on a live slot.
 type event struct {
 	at  Time
-	seq uint64 // tie-breaker: schedule order
+	seq uint64 // tie-breaker: schedule (or Reserve) order
 	fn  func()
 	cb  Callback
 	arg Arg
@@ -131,12 +134,22 @@ type Scheduler struct {
 	stopped bool
 	running bool
 
+	// reserved lists the seq blocks handed out by Reserve, ascending and
+	// disjoint (adjacent blocks are merged), so AtCallSeq can reject a seq
+	// that was never claimed.
+	reserved []seqBlock
+	// peak is the heap's high-water mark since construction or Reset.
+	peak int
+
 	// Kernel traffic counters, always on (two integer adds): the DES analog
 	// of oprofile's interrupt-descriptor statistics. The observability layer
 	// copies them out via Stats; sim cannot import obs (obs imports sim).
 	scheduled uint64
 	cancelled uint64
 }
+
+// seqBlock is one reserved half-open range [lo, hi) of sequence numbers.
+type seqBlock struct{ lo, hi uint64 }
 
 // Stats reports kernel traffic since construction: events scheduled and
 // events removed by Cancel before dispatch.
@@ -155,9 +168,20 @@ func (s *Scheduler) Now() Time { return s.now }
 // Pending reports how many events are currently scheduled.
 func (s *Scheduler) Pending() int { return len(s.heap) }
 
-// alloc claims an arena slot for an event at instant t and returns its
-// index, ready for the caller to attach the callback form.
-func (s *Scheduler) alloc(t Time) (int32, *event) {
+// PeakPending reports the largest number of events that were scheduled at
+// once since construction or the last Reset: the heap's high-water mark.
+func (s *Scheduler) PeakPending() int { return s.peak }
+
+// next claims the next tie-break sequence number in schedule order.
+func (s *Scheduler) next() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// alloc claims an arena slot for an event at instant t with tie-break seq
+// and returns its index, ready for the caller to attach the callback form.
+func (s *Scheduler) alloc(t Time, seq uint64) (int32, *event) {
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -168,8 +192,7 @@ func (s *Scheduler) alloc(t Time) (int32, *event) {
 	}
 	ev := &s.arena[idx]
 	ev.at = t
-	ev.seq = s.seq
-	s.seq++
+	ev.seq = seq
 	s.scheduled++
 	return idx, ev
 }
@@ -178,13 +201,10 @@ func (s *Scheduler) alloc(t Time) (int32, *event) {
 // programming error in the model and returns an error; the event is not
 // scheduled.
 func (s *Scheduler) At(t Time, fn func()) (EventID, error) {
-	if t < s.now {
-		return EventID{}, fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
+	if err := s.check(t, fn == nil); err != nil {
+		return EventID{}, err
 	}
-	if fn == nil {
-		return EventID{}, errors.New("sim: schedule nil callback")
-	}
-	idx, ev := s.alloc(t)
+	idx, ev := s.alloc(t, s.next())
 	ev.fn = fn
 	s.heapPush(idx)
 	return EventID{slot: idx + 1, gen: ev.gen}, nil
@@ -204,17 +224,86 @@ func (s *Scheduler) After(d time.Duration, fn func()) (EventID, error) {
 // scheduling performs zero allocations. Dispatch order is identical to At:
 // the two forms share one (at, seq) sequence.
 func (s *Scheduler) AtCall(t Time, cb Callback, arg Arg) (EventID, error) {
-	if t < s.now {
-		return EventID{}, fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
+	if err := s.check(t, cb == nil); err != nil {
+		return EventID{}, err
 	}
-	if cb == nil {
-		return EventID{}, errors.New("sim: schedule nil callback")
-	}
-	idx, ev := s.alloc(t)
+	idx, ev := s.alloc(t, s.next())
 	ev.cb = cb
 	ev.arg = arg
 	s.heapPush(idx)
 	return EventID{slot: idx + 1, gen: ev.gen}, nil
+}
+
+// Reserve claims a block of n consecutive tie-break sequence numbers and
+// returns the first. The block is taken from the same counter At and AtCall
+// draw from, so an event later pushed under base+i by AtCallSeq orders
+// against every other event exactly as if it had been scheduled at the
+// moment of the Reserve call. A periodic series can therefore keep only its
+// next member queued — each dispatch pushes its successor — and still
+// dispatch in the order of the fully pre-enqueued series.
+func (s *Scheduler) Reserve(n int) uint64 {
+	base := s.seq
+	if n <= 0 {
+		return base
+	}
+	s.seq += uint64(n)
+	if k := len(s.reserved); k > 0 && s.reserved[k-1].hi == base {
+		s.reserved[k-1].hi = s.seq
+	} else {
+		s.reserved = append(s.reserved, seqBlock{lo: base, hi: s.seq})
+	}
+	return base
+}
+
+// AtCallSeq schedules cb.OnEvent(arg) at instant t under seq, a sequence
+// number claimed earlier by Reserve. It rejects a seq no Reserve handed out
+// and a t before Now. Each reserved seq must be pushed at most once: the
+// (at, seq) key is what makes dispatch order total.
+func (s *Scheduler) AtCallSeq(t Time, seq uint64, cb Callback, arg Arg) (EventID, error) {
+	if err := s.check(t, cb == nil); err != nil {
+		return EventID{}, err
+	}
+	if !s.isReserved(seq) {
+		return EventID{}, fmt.Errorf("sim: schedule under unreserved seq %d", seq)
+	}
+	idx, ev := s.alloc(t, seq)
+	ev.cb = cb
+	ev.arg = arg
+	s.heapPush(idx)
+	return EventID{slot: idx + 1, gen: ev.gen}, nil
+}
+
+// check rejects scheduling in the past and a nil callback. The error is
+// built out of line so the accepting path inlines into every schedule call.
+func (s *Scheduler) check(t Time, nilCallback bool) error {
+	if t < s.now || nilCallback {
+		return s.reject(t)
+	}
+	return nil
+}
+
+func (s *Scheduler) reject(t Time) error {
+	if t < s.now {
+		return fmt.Errorf("sim: schedule at %v before now %v", t, s.now)
+	}
+	return errors.New("sim: schedule nil callback")
+}
+
+// isReserved binary-searches the reserved blocks for seq.
+func (s *Scheduler) isReserved(seq uint64) bool {
+	lo, hi := 0, len(s.reserved)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		switch b := s.reserved[m]; {
+		case seq < b.lo:
+			hi = m
+		case seq >= b.hi:
+			lo = m + 1
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // AfterCall schedules cb.OnEvent(arg) d after the current virtual time.
@@ -259,9 +348,9 @@ func (s *Scheduler) release(idx int32) {
 }
 
 // Reset rewinds the scheduler to its post-NewScheduler state — clock at
-// zero, queue empty, counters zeroed — while keeping the arena, free-list,
-// and heap capacity, so a pooled scheduler re-runs a scenario without
-// re-growing its slabs. EventIDs minted before the Reset must not be used
+// zero, queue empty, counters, reservations and high-water mark zeroed —
+// while keeping the arena, free-list, and heap capacity, so a pooled
+// scheduler re-runs a scenario without re-growing its slabs. EventIDs minted before the Reset must not be used
 // afterwards: slots restart at generation zero, so a stale ID could collide
 // with a new occupancy (holders reset alongside the scheduler, so none
 // survive in practice). Must not be called from inside Run.
@@ -271,6 +360,8 @@ func (s *Scheduler) Reset() {
 	s.arena = s.arena[:0]
 	s.free = s.free[:0]
 	s.heap = s.heap[:0]
+	s.reserved = s.reserved[:0]
+	s.peak = 0
 	s.stopped = false
 	s.running = false
 	s.scheduled = 0
@@ -371,6 +462,11 @@ func (s *Scheduler) heapRemove(pos int32) {
 }
 
 func (s *Scheduler) siftUp(i int32) {
+	// A push sifts up from the new last slot, so this is the heap's
+	// high-water check, kept here to leave heapPush inlinable.
+	if int(i) >= s.peak {
+		s.peak = int(i) + 1
+	}
 	h := s.heap
 	moving := h[i]
 	for i > 0 {
