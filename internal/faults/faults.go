@@ -25,6 +25,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"iothub/internal/sim"
@@ -120,7 +121,7 @@ func (r Rule) Validate() error {
 	if r.Trigger.empty() {
 		return fmt.Errorf("%v rule has no trigger", r.Kind)
 	}
-	if r.Trigger.EveryNth < 0 || r.Trigger.Period < 0 || r.Trigger.Prob < 0 || r.Trigger.Prob > 1 {
+	if r.Trigger.EveryNth < 0 || r.Trigger.Period < 0 || !(r.Trigger.Prob >= 0 && r.Trigger.Prob <= 1) {
 		return fmt.Errorf("%v rule has invalid trigger", r.Kind)
 	}
 	for i, at := range r.Trigger.At {
@@ -133,6 +134,9 @@ func (r Rule) Validate() error {
 	}
 	if r.Duration < 0 {
 		return fmt.Errorf("%v rule negative duration", r.Kind)
+	}
+	if math.IsNaN(r.Factor) || math.IsInf(r.Factor, 0) {
+		return fmt.Errorf("%v rule factor %v, want a finite number", r.Kind, r.Factor)
 	}
 	if r.Kind == RadioOutage && r.Duration <= 0 {
 		return fmt.Errorf("radio-outage rule needs for=<duration>")

@@ -268,6 +268,9 @@ func TestParseScheduleErrors(t *testing.T) {
 		"mcu-crash:at=-5ms",    // negative instant
 		"radio-outage:every=3", // missing for=
 		"sensor-slow:factor=0,every=1",
+		"link-loss:prob=NaN", // NaN slips past range compares
+		"sensor-slow:factor=NaN,every=1",
+		"sensor-slow:factor=+Inf,every=1",
 		"link-loss:bogus=1",
 		"link-loss:every",
 	} {

@@ -117,98 +117,72 @@ func safeRun(ap **hub.Arena, s hub.Scenario) (r *hub.RunResult, err error) {
 	return execScenario(*ap, s)
 }
 
-// Run executes the sweep: Expand the spec, run every not-yet-journaled
-// scenario on the worker pool, and fold results into the aggregator in
-// strict scenario-index order (a reorder buffer holds early finishers), so
-// the final aggregates are byte-identical for any worker count.
+// Run executes the sweep: open the fold (replaying the journal on resume),
+// run every not-yet-folded scenario on the worker pool, and fold the records
+// in strict scenario-index order, so the final aggregates are byte-identical
+// for any worker count.
 func Run(spec Spec, opt Options) (*Result, error) {
-	scens, err := spec.Expand()
+	if opt.Workers == 0 {
+		opt.Workers = spec.Workers
+	}
+	if opt.Workers == 0 {
+		opt.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opt.Workers < 1 {
+		return nil, fmt.Errorf("fleet: %d workers, want >= 1", opt.Workers)
+	}
+	if opt.Gauges == nil {
+		opt.Gauges = obs.NewGauges()
+	}
+	sw, err := OpenSweep(spec, opt)
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers == 0 {
-		workers = spec.Workers
+	err = runPool(sw.Scens, sw.Result.Completed, sw.Limit, opt.Workers, opt.Gauges, sw.Fold)
+	if cerr := sw.Close(); err == nil {
+		err = cerr
 	}
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if err != nil {
+		return nil, err
 	}
-	if workers < 1 {
-		return nil, fmt.Errorf("fleet: %d workers, want >= 1", workers)
-	}
+	return sw.Result, nil
+}
 
-	gauges := opt.Gauges
-	if gauges == nil {
-		gauges = obs.NewGauges()
+// RunRange executes scenarios [start, end) of an expanded sequence with up
+// to parallelism scenarios in flight and returns their records in index
+// order — the shard-execution primitive fleetd workers run. Each call builds
+// fresh arenas, so a long-lived worker holds no scenario state between
+// shards. Results are independent of parallelism (each scenario is
+// self-seeded and records come back in index order).
+func RunRange(scens []hub.Scenario, start, end, parallelism int) ([]DoneRecord, error) {
+	if start < 0 || end > len(scens) || start > end {
+		return nil, fmt.Errorf("fleet: range [%d, %d) outside 0..%d", start, end, len(scens))
 	}
-	gauges.StartSweep(len(scens), workers)
-
-	header := Header(spec, scens)
-	tags := make([]string, len(scens))
-	for i, s := range scens {
-		tags[i] = Tag(s)
+	if parallelism < 1 {
+		parallelism = 1
 	}
+	records := make([]DoneRecord, 0, end-start)
+	err := runPool(scens, start, end, parallelism, nil, func(d DoneRecord) error {
+		records = append(records, d)
+		return nil
+	})
+	return records, err
+}
 
-	res := &Result{Agg: NewAggregator(), Scenarios: len(scens)}
-
-	// Resume: replay the journal prefix into the aggregator. A partial final
-	// record (crash mid-write) is dropped from the file so appending stays
-	// line-atomic, and the scenario simply re-runs.
-	var resumed []DoneRecord
-	if opt.Resume {
-		if opt.Journal == "" {
-			return nil, fmt.Errorf("fleet: resume requested without a journal path")
-		}
-		replay, err := ReadJournal(opt.Journal, header, tags)
-		if err != nil {
-			return nil, err
-		}
-		if err := replay.DropPartialTail(opt.Journal); err != nil {
-			return nil, err
-		}
-		res.Warnings = append(res.Warnings, replay.Warnings...)
-		resumed = replay.Done
-		for _, d := range resumed {
-			if d.Err != "" {
-				res.Agg.ApplyError()
-				res.Failed = append(res.Failed, ScenarioError{Index: d.Index, Label: d.Label, Err: d.Err})
-			} else {
-				res.Agg.Apply(tags[d.Index], d.Metrics)
-			}
-			gauges.ScenarioDone(d.Err != "")
-		}
-		res.Resumed = len(resumed)
-		res.Completed = len(resumed)
-	}
-	next := len(resumed) // first scenario index still to run
-
-	var jw *JournalWriter
-	if opt.Journal != "" {
-		jw, err = NewJournalWriter(opt.Journal, header, !opt.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer jw.Close()
-	}
-
-	limit := len(scens)
-	if opt.MaxScenarios > 0 && opt.MaxScenarios < limit {
-		limit = opt.MaxScenarios
-	}
-	if next >= limit {
-		gauges.SetFingerprint(res.Agg.Fingerprint())
-		progress(opt.Progress, res, len(scens), gauges)
-		return res, nil
-	}
-
-	type outcome struct {
-		index   int
-		metrics map[string]float64
-		err     string
+// runPool is the one scenario worker pool: it runs scenarios [start, end)
+// on workers goroutines, each with its own arena, and hands every record to
+// emit in strict index order through a reorder buffer that holds early
+// finishers. The first emit error stops dispatch, drains the workers and is
+// returned. The pool owns the per-run gauge updates; nil gauges cost nothing.
+func runPool(scens []hub.Scenario, start, end, workers int, g *obs.Gauges, emit func(DoneRecord) error) error {
+	if start >= end {
+		return nil
 	}
 	indices := make(chan int)
-	outcomes := make(chan outcome, workers)
-
+	// One slot per worker: a worker that finishes while the collector is
+	// busy folding parks its record and goes back for the next index.
+	records := make(chan DoneRecord, workers)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -219,127 +193,194 @@ func Run(spec Spec, opt Options) (*Result, error) {
 			// extracted before the next run recycles the result's storage.
 			arena := hub.NewArena()
 			for i := range indices {
-				s := scens[i]
-				gauges.WorkerBusy(+1)
-				r, err := safeRun(&arena, s)
-				gauges.WorkerBusy(-1)
+				d := DoneRecord{Index: i, Label: scens[i].Label()}
+				g.WorkerBusy(+1)
+				r, err := safeRun(&arena, scens[i])
+				g.WorkerBusy(-1)
 				if err != nil {
-					outcomes <- outcome{index: i, err: err.Error()}
-					continue
+					d.Err = err.Error()
+				} else {
+					g.MeterObserved(int64(r.MeterSamples), int64(r.MeterDroppedSamples),
+						r.MeterCycles, int64(r.MeterFlushes), int64(r.MeterBytes))
+					g.PowerObserved(int64(r.Brownouts), int64(r.BrownoutTime),
+						int64(r.BatteryHarvestJ*1e6))
+					d.Metrics = Metrics(r, scens[i].Windows)
 				}
-				gauges.MeterObserved(int64(r.MeterSamples), int64(r.MeterDroppedSamples),
-					r.MeterCycles, int64(r.MeterFlushes), int64(r.MeterBytes))
-				gauges.PowerObserved(int64(r.Brownouts), int64(r.BrownoutTime),
-					int64(r.BatteryHarvestJ*1e6))
-				outcomes <- outcome{index: i, metrics: Metrics(r, s.Windows)}
+				records <- d
 			}
 		}()
 	}
 	go func() {
-		for i := next; i < limit; i++ {
-			indices <- i
+	feed:
+		for i := start; i < end; i++ {
+			select {
+			case indices <- i:
+			case <-stop:
+				break feed
+			}
 		}
 		close(indices)
 		wg.Wait()
-		close(outcomes)
+		close(records)
 	}()
 
-	// Collector: apply outcomes in index order via a reorder buffer. The
-	// journal therefore also stays in index order, which keeps resume a
-	// straight prefix replay.
-	pending := map[int]outcome{}
-	var firstJournalErr error
-	for o := range outcomes {
-		pending[o.index] = o
-		for {
-			ready, ok := pending[next]
-			if !ok {
+	pending := map[int]DoneRecord{}
+	next := start
+	var err error
+	for d := range records {
+		if err != nil {
+			continue // draining after a failed emit
+		}
+		pending[d.Index] = d
+		for ready, ok := pending[next]; ok; ready, ok = pending[next] {
+			delete(pending, next)
+			next++
+			if err = emit(ready); err != nil {
+				close(stop)
 				break
 			}
-			delete(pending, next)
-			d := DoneRecord{Index: ready.index, Label: scens[ready.index].Label(),
-				Metrics: ready.metrics, Err: ready.err}
-			if ready.err != "" {
-				res.Agg.ApplyError()
-				res.Failed = append(res.Failed, ScenarioError{Index: ready.index, Label: d.Label, Err: ready.err})
-			} else {
-				res.Agg.Apply(tags[ready.index], ready.metrics)
-			}
-			res.Completed++
-			next++
-			gauges.ScenarioDone(ready.err != "")
-			if jw != nil && firstJournalErr == nil {
-				if err := jw.WriteDone(d); err != nil {
-					firstJournalErr = err
-				}
-			}
-			if res.Completed%SnapEvery == 0 || res.Completed == len(scens) {
-				fp := res.Agg.Fingerprint()
-				gauges.SetFingerprint(fp)
-				if jw != nil && firstJournalErr == nil {
-					if err := jw.WriteSnap(res.Completed, fp); err != nil {
-						firstJournalErr = err
-					}
-				}
-			}
-			progress(opt.Progress, res, len(scens), gauges)
 		}
 	}
-	if len(pending) != 0 {
-		return nil, fmt.Errorf("fleet: internal: %d outcomes stuck in the reorder buffer", len(pending))
-	}
-	if firstJournalErr != nil {
-		return nil, firstJournalErr
-	}
-	return res, nil
+	return err
 }
 
-// RunRange executes scenarios [start, end) of an expanded sequence with up
-// to parallelism scenarios in flight and returns their records in index
-// order — the shard-execution primitive fleetd workers run. Results are
-// independent of parallelism (each scenario is self-seeded and records are
-// assembled positionally).
-func RunRange(scens []hub.Scenario, start, end, parallelism int) ([]DoneRecord, error) {
-	if start < 0 || end > len(scens) || start > end {
-		return nil, fmt.Errorf("fleet: range [%d, %d) outside 0..%d", start, end, len(scens))
+// Sweep is the one journaled, index-ordered fold both sweep engines share:
+// fleet.Run feeds it from the worker pool, the fleetd coordinator from
+// accepted shard submissions. Because both fold through it, their journals
+// and aggregates cannot tell the engines apart, and a journal written by
+// either resumes under the other.
+type Sweep struct {
+	// Scens is the expanded scenario sequence; Limit is the fold ceiling
+	// (len(Scens), or Options.MaxScenarios when smaller).
+	Scens []hub.Scenario
+	Limit int
+	// Result accumulates the fold; Result.Completed is also the index of
+	// the next scenario Fold expects.
+	Result *Result
+
+	tags     []string
+	jw       *journalWriter
+	gauges   *obs.Gauges
+	progress io.Writer
+}
+
+// OpenSweep expands the spec and prepares its fold: on Options.Resume it
+// replays the journal (dropping a partial final record, with a warning) into
+// the aggregates, then opens the journal for appending. Options.Journal,
+// Resume, MaxScenarios, Progress and Gauges apply; Workers only labels the
+// gauges. The rate clock starts after the replay, so resumed scenarios do
+// not count as work this process did.
+func OpenSweep(spec Spec, opt Options) (*Sweep, error) {
+	scens, err := spec.Expand()
+	if err != nil {
+		return nil, err
 	}
-	if parallelism < 1 {
-		parallelism = 1
+	s := &Sweep{
+		Scens:    scens,
+		Limit:    len(scens),
+		Result:   &Result{Agg: NewAggregator(), Scenarios: len(scens)},
+		tags:     make([]string, len(scens)),
+		gauges:   opt.Gauges,
+		progress: opt.Progress,
 	}
-	records := make([]DoneRecord, end-start)
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			arena := hub.NewArena()
-			for i := range indices {
-				d := DoneRecord{Index: i, Label: scens[i].Label()}
-				if r, err := safeRun(&arena, scens[i]); err != nil {
-					d.Err = err.Error()
-				} else {
-					d.Metrics = Metrics(r, scens[i].Windows)
-				}
-				records[i-start] = d
+	if opt.MaxScenarios > 0 && opt.MaxScenarios < s.Limit {
+		s.Limit = opt.MaxScenarios
+	}
+	for i, sc := range scens {
+		s.tags[i] = Tag(sc)
+	}
+	head := headerFor(spec, scens)
+	if opt.Resume {
+		if opt.Journal == "" {
+			return nil, fmt.Errorf("fleet: resume requested without a journal path")
+		}
+		replay, err := readJournal(opt.Journal, head, s.tags)
+		if err != nil {
+			return nil, err
+		}
+		if err := replay.dropPartialTail(opt.Journal); err != nil {
+			return nil, err
+		}
+		s.Result.Warnings = append(s.Result.Warnings, replay.Warnings...)
+		for _, d := range replay.Done {
+			s.apply(d)
+		}
+		s.Result.Resumed = len(replay.Done)
+	}
+	if opt.Journal != "" {
+		if s.jw, err = newJournalWriter(opt.Journal, head, !opt.Resume); err != nil {
+			return nil, err
+		}
+	}
+	s.gauges.StartSweep(len(scens), opt.Workers)
+	if s.Done() {
+		s.gauges.SetFingerprint(s.Result.Agg.Fingerprint())
+		s.report()
+	}
+	return s, nil
+}
+
+// Done reports whether the fold has reached its ceiling.
+func (s *Sweep) Done() bool { return s.Result.Completed >= s.Limit }
+
+// Fold applies the next record in index order, journals it, and every
+// snapEvery records (and at the end of the sweep) publishes and journals
+// the aggregate fingerprint.
+func (s *Sweep) Fold(d DoneRecord) error {
+	res := s.Result
+	if d.Index != res.Completed {
+		return fmt.Errorf("fleet: fold got scenario %d, want %d", d.Index, res.Completed)
+	}
+	s.apply(d)
+	if s.jw != nil {
+		if err := s.jw.writeDone(d); err != nil {
+			return err
+		}
+	}
+	if res.Completed%snapEvery == 0 || res.Completed == len(s.Scens) {
+		fp := res.Agg.Fingerprint()
+		s.gauges.SetFingerprint(fp)
+		if s.jw != nil {
+			if err := s.jw.writeSnap(res.Completed, fp); err != nil {
+				return err
 			}
-		}()
+		}
 	}
-	for i := start; i < end; i++ {
-		indices <- i
-	}
-	close(indices)
-	wg.Wait()
-	return records, nil
+	s.report()
+	return nil
 }
 
-// progress prints a structured one-line JSON status at ~1/16 completion
+// Close flushes and closes the journal. Idempotent.
+func (s *Sweep) Close() error {
+	if s.jw == nil {
+		return nil
+	}
+	err := s.jw.Close()
+	s.jw = nil
+	return err
+}
+
+// apply folds one record into the aggregates without journaling it.
+func (s *Sweep) apply(d DoneRecord) {
+	res := s.Result
+	if d.Err != "" {
+		res.Agg.ApplyError()
+		res.Failed = append(res.Failed, ScenarioError{Index: d.Index, Label: d.Label, Err: d.Err})
+	} else {
+		res.Agg.Apply(s.tags[d.Index], d.Metrics)
+	}
+	res.Completed++
+	s.gauges.ScenarioDone(d.Err != "")
+}
+
+// report prints a structured one-line JSON status at ~1/16 completion
 // steps (and at the end) so long sweeps stay observable without flooding the
 // terminal and CI logs stay machine-parseable.
-func progress(w io.Writer, res *Result, total int, g *obs.Gauges) {
-	if w == nil {
+func (s *Sweep) report() {
+	if s.progress == nil {
 		return
 	}
+	res, total := s.Result, len(s.Scens)
 	step := total / 16
 	if step < 1 {
 		step = 1
@@ -347,7 +388,7 @@ func progress(w io.Writer, res *Result, total int, g *obs.Gauges) {
 	if res.Completed%step != 0 && res.Completed != total {
 		return
 	}
-	s := g.Read()
-	fmt.Fprintf(w, `{"done":%d,"total":%d,"errors":%d,"rate_per_sec":%.2f,"eta_sec":%.1f}`+"\n",
-		res.Completed, total, res.Agg.Errors, s.RatePerSec, s.ETASeconds)
+	g := s.gauges.Read()
+	fmt.Fprintf(s.progress, `{"done":%d,"total":%d,"errors":%d,"rate_per_sec":%.2f,"eta_sec":%.1f}`+"\n",
+		res.Completed, total, res.Agg.Errors, g.RatePerSec, g.ETASeconds)
 }

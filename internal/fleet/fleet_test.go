@@ -185,12 +185,12 @@ func TestStandaloneReplayMatchesFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := Header(spec, scens)
+	header := headerFor(spec, scens)
 	tags := make([]string, len(scens))
 	for i, s := range scens {
 		tags[i] = Tag(s)
 	}
-	replay, err := ReadJournal(journal, header, tags)
+	replay, err := readJournal(journal, header, tags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,8 @@ func TestStandaloneReplayMatchesFleet(t *testing.T) {
 	if len(done) != len(scens) {
 		t.Fatalf("journal holds %d scenarios, want %d", len(done), len(scens))
 	}
-	if len(replay.Warnings) != 0 || replay.Truncated() {
-		t.Fatalf("clean journal read produced warnings %v (truncated %v)", replay.Warnings, replay.Truncated())
+	if len(replay.Warnings) != 0 || replay.truncated() {
+		t.Fatalf("clean journal read produced warnings %v (truncated %v)", replay.Warnings, replay.truncated())
 	}
 	for _, i := range []int{0, 3, 7} {
 		res, err := RunScenario(scens[i])

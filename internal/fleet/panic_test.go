@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -86,5 +87,52 @@ func TestRunRangePanicBecomesRecordError(t *testing.T) {
 	}
 	if !strings.Contains(records[1].Err, "panicked") || !strings.Contains(records[1].Err, "seed 202") {
 		t.Errorf("panic record error = %q", records[1].Err)
+	}
+}
+
+// TestRunPoolStopsOnEmitError proves the pool fails fast: the first emit
+// error (a journal write failing under Run) stops dispatch, the workers
+// drain, and the error comes back without any later record being emitted.
+func TestRunPoolStopsOnEmitError(t *testing.T) {
+	scens, err := testSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("journal full")
+	var emitted []int
+	err = runPool(scens, 0, len(scens), 3, nil, func(d DoneRecord) error {
+		emitted = append(emitted, d.Index)
+		if d.Index == 2 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("runPool error = %v, want %v", err, boom)
+	}
+	if fmt.Sprint(emitted) != "[0 1 2]" {
+		t.Errorf("emitted %v, want [0 1 2] and nothing after the failure", emitted)
+	}
+}
+
+// TestSweepFoldRejectsOutOfOrder proves the fold refuses a record that is
+// not the next index, so neither engine can journal a gap or a repeat.
+func TestSweepFoldRejectsOutOfOrder(t *testing.T) {
+	sw, err := OpenSweep(testSpec(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	if err := sw.Fold(DoneRecord{Index: 1, Err: "skipped ahead"}); err == nil {
+		t.Fatal("fold accepted scenario 1 before scenario 0")
+	}
+	if err := sw.Fold(DoneRecord{Index: 0, Err: "failed"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Fold(DoneRecord{Index: 0, Err: "failed"}); err == nil {
+		t.Fatal("fold accepted scenario 0 twice")
+	}
+	if sw.Result.Completed != 1 || sw.Result.Agg.Errors != 1 {
+		t.Errorf("completed %d errors %d, want 1/1", sw.Result.Completed, sw.Result.Agg.Errors)
 	}
 }

@@ -7,11 +7,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"iothub/internal/obs"
 )
 
 // journalFor runs a partial sweep and returns the journal path plus the
 // spec's header/tags, ready for corruption experiments.
-func journalFor(t *testing.T, maxScenarios int) (string, JournalHeader, []string) {
+func journalFor(t *testing.T, maxScenarios int) (string, journalHeader, []string) {
 	t.Helper()
 	spec := testSpec()
 	journal := filepath.Join(t.TempDir(), "fleet.jsonl")
@@ -26,7 +29,7 @@ func journalFor(t *testing.T, maxScenarios int) (string, JournalHeader, []string
 	for i, s := range scens {
 		tags[i] = Tag(s)
 	}
-	return journal, Header(spec, scens), tags
+	return journal, headerFor(spec, scens), tags
 }
 
 // A crash mid-write leaves a partial final line. Resume skips it with a
@@ -48,15 +51,15 @@ func TestResumeToleratesTruncatedFinalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replay, err := ReadJournal(journal, header, tags)
+	replay, err := readJournal(journal, header, tags)
 	if err != nil {
 		t.Fatalf("truncated final line rejected: %v", err)
 	}
 	if len(replay.Done) != 5 {
 		t.Fatalf("replayed %d records, want the 5 complete ones", len(replay.Done))
 	}
-	if !replay.Truncated() || len(replay.Warnings) != 1 || !strings.Contains(replay.Warnings[0], "partial record") {
-		t.Fatalf("truncation not surfaced: truncated=%v warnings=%v", replay.Truncated(), replay.Warnings)
+	if !replay.truncated() || len(replay.Warnings) != 1 || !strings.Contains(replay.Warnings[0], "partial record") {
+		t.Fatalf("truncation not surfaced: truncated=%v warnings=%v", replay.truncated(), replay.Warnings)
 	}
 
 	resumed, err := Run(testSpec(), Options{Workers: 2, Journal: journal, Resume: true})
@@ -74,13 +77,13 @@ func TestResumeToleratesTruncatedFinalLine(t *testing.T) {
 	}
 	// The partial tail was dropped before appending, so the healed journal
 	// replays cleanly end to end.
-	again, err := ReadJournal(journal, header, tags)
+	again, err := readJournal(journal, header, tags)
 	if err != nil {
 		t.Fatalf("healed journal rejected: %v", err)
 	}
-	if len(again.Done) != 8 || again.Truncated() || len(again.Warnings) != 0 {
+	if len(again.Done) != 8 || again.truncated() || len(again.Warnings) != 0 {
 		t.Errorf("healed journal: %d records, truncated=%v, warnings=%v",
-			len(again.Done), again.Truncated(), again.Warnings)
+			len(again.Done), again.truncated(), again.Warnings)
 	}
 }
 
@@ -100,7 +103,7 @@ func TestResumeRejectsCorruptMidFileLine(t *testing.T) {
 	if err := os.WriteFile(journal, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "line 3") {
+	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "line 3") {
 		t.Errorf("corrupt mid-file line: err = %v, want a line-3 parse failure", err)
 	}
 }
@@ -130,7 +133,7 @@ func TestResumeRejectsJournalBeyondSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := ReadJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "beyond the spec's") {
+	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "beyond the spec's") {
 		t.Errorf("oversized journal: err = %v, want beyond-the-spec rejection", err)
 	}
 }
@@ -158,7 +161,7 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	if err := os.WriteFile(journal, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := readJournal(journal, header, tags); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("bit-corrupted journal: err = %v, want snapshot fingerprint mismatch", err)
 	}
 }
@@ -179,7 +182,7 @@ func TestRunRangeMatchesSweep(t *testing.T) {
 	for i, s := range scens {
 		tags[i] = Tag(s)
 	}
-	replay, err := ReadJournal(journal, Header(spec, scens), tags)
+	replay, err := readJournal(journal, headerFor(spec, scens), tags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,5 +242,41 @@ func TestAggregatorJSONDeterministic(t *testing.T) {
 	}
 	if m := doc.Metrics["Baseline/total"]; m == nil || m["n"] != 4 {
 		t.Errorf("Baseline/total = %v", doc.Metrics["Baseline/total"])
+	}
+}
+
+// After a resume, rate and ETA describe this process's work only: a fully
+// replayed journal reports no rate at all, and a one-scenario tail reports
+// one scenario's worth, not the resumed prefix's.
+func TestResumeRateCountsLiveOnly(t *testing.T) {
+	journal, _, _ := journalFor(t, 8)
+	g := obs.NewGauges()
+	var progress strings.Builder
+	if _, err := Run(testSpec(), Options{Workers: 1, Journal: journal, Resume: true, Gauges: g, Progress: &progress}); err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Read(); s.Done != 8 || s.RatePerSec != 0 || s.ETASeconds != 0 {
+		t.Errorf("fully resumed: done=%d rate=%v eta=%v, want 8/0/0", s.Done, s.RatePerSec, s.ETASeconds)
+	}
+	if !strings.Contains(progress.String(), `"rate_per_sec":0.00`) {
+		t.Errorf("fully resumed progress line carries a rate: %s", progress.String())
+	}
+
+	journal, _, _ = journalFor(t, 7)
+	g = obs.NewGauges()
+	if _, err := Run(testSpec(), Options{Workers: 1, Journal: journal, Resume: true, Gauges: g}); err != nil {
+		t.Fatal(err)
+	}
+	ran := time.Now()
+	time.Sleep(20 * time.Millisecond)
+	gap := time.Since(ran)
+	s := g.Read()
+	if s.Done != 8 || s.RatePerSec <= 0 {
+		t.Fatalf("one live scenario: done=%d rate=%v", s.Done, s.RatePerSec)
+	}
+	// The rate clock started before Run returned, so one live scenario can
+	// show at most 1/gap; counting the seven resumed ones would show ~8/gap.
+	if s.RatePerSec*gap.Seconds() > 1 {
+		t.Errorf("rate %v/s over >= %v counts the resumed scenarios", s.RatePerSec, gap)
 	}
 }

@@ -16,6 +16,15 @@
 //     metrics in index order; an interrupted sweep replays the journal and
 //     continues, landing on the same final aggregates as an uninterrupted
 //     run.
+//
+// There is one worker pool and one fold. The pool runs a range of scenarios
+// on N goroutines, one arena each, and returns records in index order; Run
+// runs the whole sweep on it and RunRange one fleetd shard. The fold, Sweep,
+// owns the journal, the resume replay and the aggregates; Run and the fleetd
+// coordinator both fold through it, so their journals are byte-identical.
+// RunRange builds fresh arenas per call, so a fleetd worker holds no
+// scenario state between shards: keeping arenas alive across shards saved
+// little allocation and cost ~10% peak RSS.
 package fleet
 
 import (

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"iothub/internal/fleet"
-	"iothub/internal/hub"
 	"iothub/internal/obs"
 )
 
@@ -99,11 +98,6 @@ type lease struct {
 	expires time.Time
 }
 
-type completedRange struct {
-	end     int
-	records []fleet.DoneRecord
-}
-
 // Coordinator owns a sweep: it shards the scenario space, leases shards to
 // workers under deadlines, folds accepted submissions in strict index order
 // (so the merged aggregates are byte-identical to a single-process run),
@@ -111,22 +105,16 @@ type completedRange struct {
 // leases — shrinking shards and concurrency as failures accumulate.
 type Coordinator struct {
 	cfg    Config
-	scens  []hub.Scenario
-	tags   []string
-	header fleet.JournalHeader
 	spec   SpecResponse
 	gauges *obs.Gauges
-	limit  int // fold ceiling: MaxScenarios-truncated total
 
 	mu          sync.Mutex
 	pending     []shard // sorted by start; lowest range leases first
 	leases      map[int64]*lease
 	nextShardID int64
-	completed   map[int]completedRange // start → accepted records awaiting fold
-	next        int                    // first scenario index not yet folded
-	res         *fleet.Result
-	jw          *fleet.JournalWriter
-	workers     map[string]time.Time // worker → last heard from
+	completed   map[int][]fleet.DoneRecord // start → accepted records awaiting fold
+	sw          *fleet.Sweep               // the shared journaled fold
+	workers     map[string]time.Time       // worker → last heard from
 	reassigns   int
 	level       int // degradation-ladder level
 	shardSize   int
@@ -140,76 +128,36 @@ type Coordinator struct {
 	janitorWG   sync.WaitGroup
 }
 
-// New builds a coordinator: expands the spec, replays the journal when
-// resuming (tolerating a truncated final record), shards the remaining index
-// space, and starts the lease janitor.
+// New builds a coordinator: opens the shared fold (replaying the journal
+// when resuming), shards the remaining index space, and starts the lease
+// janitor.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.fillDefaults()
-	scens, err := cfg.Spec.Expand()
-	if err != nil {
-		return nil, err
-	}
-	tags := make([]string, len(scens))
-	for i, s := range scens {
-		tags[i] = fleet.Tag(s)
-	}
 	c := &Coordinator{
 		cfg:         cfg,
-		scens:       scens,
-		tags:        tags,
-		header:      fleet.Header(cfg.Spec, scens),
 		gauges:      cfg.Gauges,
 		leases:      map[int64]*lease{},
-		completed:   map[int]completedRange{},
+		completed:   map[int][]fleet.DoneRecord{},
 		workers:     map[string]time.Time{},
 		shardSize:   cfg.ShardSize,
-		res:         &fleet.Result{Agg: fleet.NewAggregator(), Scenarios: len(scens)},
 		done:        make(chan struct{}),
 		janitorStop: make(chan struct{}),
 	}
 	if c.gauges == nil {
 		c.gauges = obs.NewGauges()
 	}
-	c.spec = SpecResponse{Spec: cfg.Spec, Scenarios: len(scens), Fingerprint: c.header.Spec}
-	c.limit = len(scens)
-	if cfg.MaxScenarios > 0 && cfg.MaxScenarios < c.limit {
-		c.limit = cfg.MaxScenarios
+	sw, err := fleet.OpenSweep(cfg.Spec, fleet.Options{Journal: cfg.Journal, Resume: cfg.Resume,
+		MaxScenarios: cfg.MaxScenarios, Gauges: c.gauges})
+	if err != nil {
+		return nil, err
 	}
-
-	if cfg.Resume {
-		if cfg.Journal == "" {
-			return nil, fmt.Errorf("fleetd: resume requested without a journal path")
-		}
-		replay, err := fleet.ReadJournal(cfg.Journal, c.header, tags)
-		if err != nil {
-			return nil, err
-		}
-		if err := replay.DropPartialTail(cfg.Journal); err != nil {
-			return nil, err
-		}
-		c.res.Warnings = append(c.res.Warnings, replay.Warnings...)
-		for _, w := range replay.Warnings {
-			c.warnf("%s", w)
-		}
-		for _, d := range replay.Done {
-			c.applyLocked(d)
-		}
-		c.res.Resumed = len(replay.Done)
-		c.next = len(replay.Done)
+	c.sw = sw
+	for _, w := range sw.Result.Warnings {
+		c.warnf("%s", w)
 	}
-	if cfg.Journal != "" {
-		c.jw, err = fleet.NewJournalWriter(cfg.Journal, c.header, !cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	c.gauges.StartSweep(len(scens), 0)
-	for i := c.next; i < c.limit; i += c.shardSize {
-		end := i + c.shardSize
-		if end > c.limit {
-			end = c.limit
-		}
+	c.spec = SpecResponse{Spec: cfg.Spec, Scenarios: len(sw.Scens), Fingerprint: fleet.SpecFingerprint(sw.Scens)}
+	for i := sw.Result.Completed; i < sw.Limit; i += c.shardSize {
+		end := min(i+c.shardSize, sw.Limit)
 		c.enqueueLocked(shard{id: c.nextShardID, start: i, end: end, attempt: 1})
 		c.nextShardID++
 	}
@@ -217,7 +165,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.gauges.ShardsCreated(len(c.pending))
 
 	c.mu.Lock()
-	if c.next >= c.limit {
+	if sw.Done() {
 		c.finishLocked()
 	}
 	c.mu.Unlock()
@@ -237,7 +185,7 @@ func (c *Coordinator) Wait() (*fleet.Result, error) {
 	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.res, c.failure
+	return c.sw.Result, c.failure
 }
 
 // Close aborts the sweep (if still running) and releases the janitor and
@@ -381,7 +329,7 @@ func (c *Coordinator) submit(req SubmitRequest) SubmitResponse {
 	c.gauges.LeaseActive(-1)
 	c.shardsDone++
 	c.gauges.ShardDone()
-	c.completed[s.start] = completedRange{end: s.end, records: req.Records}
+	c.completed[s.start] = req.Records
 	c.foldLocked()
 	return SubmitResponse{OK: true, Done: c.stopped}
 }
@@ -391,11 +339,11 @@ func (c *Coordinator) Status() StatusResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := StatusResponse{
-		Total:         len(c.scens),
-		Folded:        c.res.Completed,
-		Errors:        c.res.Agg.Errors,
+		Total:         len(c.sw.Scens),
+		Folded:        c.sw.Result.Completed,
+		Errors:        c.sw.Result.Agg.Errors,
 		Done:          c.stopped,
-		Fingerprint:   c.res.Agg.Fingerprint(),
+		Fingerprint:   c.sw.Result.Agg.Fingerprint(),
 		ShardsTotal:   c.shardsTotal,
 		ShardsDone:    c.shardsDone,
 		LeasesActive:  len(c.leases),
@@ -410,55 +358,28 @@ func (c *Coordinator) Status() StatusResponse {
 	return st
 }
 
-// applyLocked folds one record into the aggregates (no journaling — the
-// resume replay path).
-func (c *Coordinator) applyLocked(d fleet.DoneRecord) {
-	if d.Err != "" {
-		c.res.Agg.ApplyError()
-		c.res.Failed = append(c.res.Failed, fleet.ScenarioError{Index: d.Index, Label: d.Label, Err: d.Err})
-	} else {
-		c.res.Agg.Apply(c.tags[d.Index], d.Metrics)
-	}
-	c.res.Completed++
-	c.gauges.ScenarioDone(d.Err != "")
-}
-
-// foldLocked advances the fold pointer over every contiguous completed
-// range, journaling each record in index order — the identical discipline to
-// fleet.Run's reorder buffer, which is why the journal and the aggregates
-// cannot tell the two engines apart.
+// foldLocked advances the shared fold over every contiguous completed
+// range, in index order — the same fold fleet.Run drives from its worker
+// pool, which is why the journal and the aggregates cannot tell the two
+// engines apart.
 func (c *Coordinator) foldLocked() {
 	for {
-		cr, ok := c.completed[c.next]
+		records, ok := c.completed[c.sw.Result.Completed]
 		if !ok {
-			break
+			return
 		}
-		delete(c.completed, c.next)
-		for _, d := range cr.records {
-			if c.res.Completed >= c.limit {
+		delete(c.completed, c.sw.Result.Completed)
+		for _, d := range records {
+			if c.sw.Done() {
 				break // MaxScenarios stop: the rest of this range re-runs on resume
 			}
-			c.applyLocked(d)
-			if c.jw != nil {
-				if err := c.jw.WriteDone(d); err != nil {
-					c.failLocked(err)
-					return
-				}
-			}
-			if c.res.Completed%fleet.SnapEvery == 0 || c.res.Completed == len(c.scens) {
-				fp := c.res.Agg.Fingerprint()
-				c.gauges.SetFingerprint(fp)
-				if c.jw != nil {
-					if err := c.jw.WriteSnap(c.res.Completed, fp); err != nil {
-						c.failLocked(err)
-						return
-					}
-				}
+			if err := c.sw.Fold(d); err != nil {
+				c.failLocked(err)
+				return
 			}
 		}
-		c.next = cr.end
 		c.progressLocked()
-		if c.res.Completed >= c.limit {
+		if c.sw.Done() {
 			c.finishLocked()
 			return
 		}
@@ -505,10 +426,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		// that kept dying comes back as several small ones.
 		created := 0
 		for i := l.shard.start; i < l.shard.end; i += c.shardSize {
-			end := i + c.shardSize
-			if end > l.shard.end {
-				end = l.shard.end
-			}
+			end := min(i+c.shardSize, l.shard.end)
 			c.enqueueLocked(shard{id: c.nextShardID, start: i, end: end, attempt: attempt})
 			c.nextShardID++
 			created++
@@ -581,12 +499,9 @@ func (c *Coordinator) finishLocked() {
 		return
 	}
 	c.stopped = true
-	c.gauges.SetFingerprint(c.res.Agg.Fingerprint())
-	if c.jw != nil {
-		if err := c.jw.Close(); err != nil && c.failure == nil {
-			c.failure = err
-		}
-		c.jw = nil
+	c.gauges.SetFingerprint(c.sw.Result.Agg.Fingerprint())
+	if err := c.sw.Close(); err != nil && c.failure == nil {
+		c.failure = err
 	}
 	close(c.done)
 	close(c.janitorStop)
@@ -621,7 +536,7 @@ func (c *Coordinator) progressLocked() {
 	}
 	fmt.Fprintf(c.cfg.Progress,
 		`{"done":%d,"total":%d,"errors":%d,"shards_done":%d,"shards_total":%d,"leases":%d,"reassigns":%d,"level":%d}`+"\n",
-		c.res.Completed, len(c.scens), c.res.Agg.Errors, c.shardsDone, c.shardsTotal,
+		c.sw.Result.Completed, len(c.sw.Scens), c.sw.Result.Agg.Errors, c.shardsDone, c.shardsTotal,
 		len(c.leases), c.reassigns, c.level)
 }
 

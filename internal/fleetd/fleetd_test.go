@@ -3,6 +3,7 @@ package fleetd
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -338,6 +339,41 @@ func TestCoordinatorCrashResume(t *testing.T) {
 	}
 	if res3.Resumed != 16 {
 		t.Errorf("in-process engine resumed %d from the service journal, want 16", res3.Resumed)
+	}
+}
+
+// Both engines fold through the same journaled fold, so the in-process
+// engine and a coordinator fed by two workers write the same journal byte for
+// byte — the contract behind "a journal written by either engine resumes
+// under the other".
+func TestJournalIdenticalAcrossEngines(t *testing.T) {
+	dir := t.TempDir()
+	inProcess := filepath.Join(dir, "fleet.jsonl")
+	if _, err := fleet.Run(testSpec(), fleet.Options{Workers: 2, Journal: inProcess}); err != nil {
+		t.Fatal(err)
+	}
+	service := filepath.Join(dir, "fleetd.jsonl")
+	c, err := New(Config{Spec: testSpec(), ShardSize: 3, MinShardSize: 1, Journal: service})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	runWorkers(t, c, 2, func(i int) WorkerConfig {
+		return WorkerConfig{ID: string(rune('a' + i)), Transport: Loopback{H: c.Handle}, Seed: int64(i)}
+	})
+	if _, err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(inProcess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(service)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("journals differ across engines:\nfleetd:\n%s\nfleet.Run:\n%s", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"iothub/internal/sim"
 )
@@ -278,6 +279,33 @@ func TestGaugesSnapshotAndPrometheus(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// Scenarios counted done before StartSweep — a resumed journal's prefix —
+// stay in Done but not in the rate: a resumed sweep reports only the work
+// this process did.
+func TestGaugesRateExcludesResumed(t *testing.T) {
+	g := NewGauges()
+	for i := 0; i < 7; i++ {
+		g.ScenarioDone(false)
+	}
+	g.StartSweep(8, 1)
+	if s := g.Read(); s.Done != 7 || s.RatePerSec != 0 || s.ETASeconds != 0 {
+		t.Fatalf("after replay only: done=%d rate=%v eta=%v, want 7/0/0", s.Done, s.RatePerSec, s.ETASeconds)
+	}
+	g.ScenarioDone(false)
+	armed := time.Now()
+	time.Sleep(20 * time.Millisecond)
+	gap := time.Since(armed)
+	s := g.Read()
+	if s.Done != 8 || s.RatePerSec <= 0 {
+		t.Fatalf("after one live scenario: done=%d rate=%v", s.Done, s.RatePerSec)
+	}
+	// One live scenario over at least gap seconds: rate*gap <= 1. Counting
+	// the seven resumed ones would put it near 8.
+	if s.RatePerSec*gap.Seconds() > 1 {
+		t.Errorf("rate %v/s over >= %v counts resumed scenarios", s.RatePerSec, gap)
 	}
 }
 

@@ -50,6 +50,7 @@ type Gauges struct {
 
 	mu          sync.Mutex
 	start       time.Time
+	startDone   int64 // scenarios already done at StartSweep (resumed ones)
 	fingerprint string
 }
 
@@ -59,7 +60,8 @@ func NewGauges() *Gauges {
 }
 
 // StartSweep records the sweep's size and pool width and restarts the rate
-// clock.
+// clock. Scenarios already counted done (replayed from a journal) stay in
+// Done but not in the rate: it measures only work completed after this call.
 func (g *Gauges) StartSweep(total, workers int) {
 	if g == nil {
 		return
@@ -68,6 +70,7 @@ func (g *Gauges) StartSweep(total, workers int) {
 	g.workers.Store(int64(workers))
 	g.mu.Lock()
 	g.start = time.Now()
+	g.startDone = g.done.Load()
 	g.mu.Unlock()
 }
 
@@ -190,9 +193,9 @@ type Snapshot struct {
 	Total, Done, Errors int64
 	WorkersBusy         int64
 	Workers             int64
-	// RatePerSec is completed scenarios per wall-clock second since
-	// StartSweep; ETASeconds extrapolates the remainder (0 when done or
-	// when no rate is established yet).
+	// RatePerSec is scenarios completed since StartSweep per wall-clock
+	// second (resumed scenarios excluded); ETASeconds extrapolates the
+	// remainder (0 when done or when no rate is established yet).
 	RatePerSec  float64
 	ETASeconds  float64
 	Fingerprint string
@@ -215,7 +218,7 @@ func (g *Gauges) Read() Snapshot {
 		return Snapshot{}
 	}
 	g.mu.Lock()
-	start, fp := g.start, g.fingerprint
+	start, startDone, fp := g.start, g.startDone, g.fingerprint
 	g.mu.Unlock()
 	s := Snapshot{
 		Total:            g.total.Load(),
@@ -241,8 +244,8 @@ func (g *Gauges) Read() Snapshot {
 		BatteryHarvestUJ: g.battHarvestUJ.Load(),
 	}
 	elapsed := time.Since(start).Seconds()
-	if elapsed > 0 && s.Done > 0 {
-		s.RatePerSec = float64(s.Done) / elapsed
+	if live := s.Done - startDone; elapsed > 0 && live > 0 {
+		s.RatePerSec = float64(live) / elapsed
 		if left := s.Total - s.Done; left > 0 && s.RatePerSec > 0 {
 			s.ETASeconds = float64(left) / s.RatePerSec
 		}
@@ -267,7 +270,7 @@ func (g *Gauges) WritePrometheus(w io.Writer) error {
 		{"iothub_fleet_scenarios_total", "Scenarios in the expanded sweep.", float64(s.Total)},
 		{"iothub_fleet_scenarios_done", "Scenarios completed (resumed ones included).", float64(s.Done)},
 		{"iothub_fleet_scenarios_errors", "Scenarios whose run errored.", float64(s.Errors)},
-		{"iothub_fleet_scenarios_per_second", "Completion rate over the sweep so far.", s.RatePerSec},
+		{"iothub_fleet_scenarios_per_second", "Scenarios completed per second since the sweep started (resumed ones excluded).", s.RatePerSec},
 		{"iothub_fleet_workers", "Worker pool size.", float64(s.Workers)},
 		{"iothub_fleet_workers_busy", "Workers currently executing a scenario.", float64(s.WorkersBusy)},
 		{"iothub_fleetd_shards_total", "Shards in the coordinator's plan (splits included).", float64(s.ShardsTotal)},
