@@ -10,12 +10,15 @@
 //	benchjson -diff BENCH_old.json BENCH_new.json   # % delta table + worker scaling
 //	go test -run '^$' -bench 'FleetSweep/workers=1$' -benchmem -benchtime 1x . \
 //	    | benchjson -gate FleetSweep/workers=1 -max-allocs-per-scenario 500
+//	go test -run '^$' -bench 'Fig11MultiApp$' -benchmem -benchtime 1x . \
+//	    | benchjson -gate Fig11MultiApp -max-mb-per-op 100
 //
 // -diff appends a worker-scaling table (speedup and parallel efficiency per
 // <base>/workers=N family) for the newer record. -gate turns the tool into a
-// CI regression gate: it normalizes each matching benchmark's allocs/op by
-// its "scenarios" metric and exits nonzero when the pinned per-scenario
-// allocation budget is exceeded.
+// CI regression gate over every matching benchmark, with one or both
+// budgets: -max-allocs-per-scenario normalizes allocs/op by the benchmark's
+// "scenarios" metric, and -max-mb-per-op caps B/op in megabytes (10^6
+// bytes). It exits nonzero when a budget is exceeded.
 package main
 
 import (
@@ -60,7 +63,7 @@ type Benchmark struct {
 func main() {
 	out := ""
 	gate := ""
-	budget := 0.0
+	var budget Budget
 	args := os.Args[1:]
 	for len(args) > 0 {
 		switch args[0] {
@@ -82,17 +85,22 @@ func main() {
 				os.Exit(2)
 			}
 			gate, args = args[1], args[2:]
-		case "-max-allocs-per-scenario":
+		case "-max-allocs-per-scenario", "-max-mb-per-op":
 			if len(args) < 2 {
-				fmt.Fprintln(os.Stderr, "benchjson: -max-allocs-per-scenario needs a number")
+				fmt.Fprintf(os.Stderr, "benchjson: %s needs a number\n", args[0])
 				os.Exit(2)
 			}
 			v, err := strconv.ParseFloat(args[1], 64)
 			if err != nil || v <= 0 {
-				fmt.Fprintf(os.Stderr, "benchjson: bad allocation budget %q\n", args[1])
+				fmt.Fprintf(os.Stderr, "benchjson: bad %s budget %q\n", args[0], args[1])
 				os.Exit(2)
 			}
-			budget, args = v, args[2:]
+			if args[0] == "-max-mb-per-op" {
+				budget.MBPerOp = v
+			} else {
+				budget.AllocsPerScenario = v
+			}
+			args = args[2:]
 		default:
 			fmt.Fprintf(os.Stderr, "benchjson: unknown argument %q\n", args[0])
 			os.Exit(2)
@@ -104,8 +112,8 @@ func main() {
 		os.Exit(1)
 	}
 	if gate != "" {
-		if budget <= 0 {
-			fmt.Fprintln(os.Stderr, "benchjson: -gate needs -max-allocs-per-scenario")
+		if budget == (Budget{}) {
+			fmt.Fprintln(os.Stderr, "benchjson: -gate needs -max-allocs-per-scenario or -max-mb-per-op")
 			os.Exit(2)
 		}
 		if err := Gate(os.Stdout, rec, gate, budget); err != nil {
@@ -185,30 +193,48 @@ func diffFiles(w io.Writer, oldPath, newPath string) error {
 	return nil
 }
 
+// Budget is a gate's set of ceilings; a zero field is not checked.
+type Budget struct {
+	AllocsPerScenario float64 // allocs/op divided by the "scenarios" metric
+	MBPerOp           float64 // B/op in megabytes (10^6 bytes)
+}
+
 // Gate enforces the CI allocation budget: every benchmark whose name
-// contains pattern must keep allocs/op divided by its "scenarios" metric at
-// or under budget. Matching benchmarks without the metric (or without
-// -benchmem data) are an error — a gate that silently checks nothing is
-// worse than no gate.
-func Gate(w io.Writer, rec *Record, pattern string, budget float64) error {
+// contains pattern must stay at or under each set ceiling of budget.
+// Matching benchmarks without the data a ceiling needs (the scenarios
+// metric, or -benchmem output) are an error — a gate that silently checks
+// nothing is worse than no gate.
+func Gate(w io.Writer, rec *Record, pattern string, budget Budget) error {
 	matched := 0
 	for _, b := range rec.Benchmarks {
 		if !strings.Contains(b.Name, pattern) {
 			continue
 		}
 		matched++
-		scenarios := b.Metrics["scenarios"]
-		if scenarios <= 0 {
-			return fmt.Errorf("%s: no scenarios metric to normalize by (ReportMetric missing?)", b.Name)
+		if budget.AllocsPerScenario > 0 {
+			scenarios := b.Metrics["scenarios"]
+			if scenarios <= 0 {
+				return fmt.Errorf("%s: no scenarios metric to normalize by (ReportMetric missing?)", b.Name)
+			}
+			if b.AllocsPerOp == 0 {
+				return fmt.Errorf("%s: no allocs/op (run the benchmark with -benchmem)", b.Name)
+			}
+			per := b.AllocsPerOp / scenarios
+			if per > budget.AllocsPerScenario {
+				return fmt.Errorf("%s: %.0f allocs/scenario exceeds the pinned budget of %.0f", b.Name, per, budget.AllocsPerScenario)
+			}
+			fmt.Fprintf(w, "benchjson: gate ok: %s at %.0f allocs/scenario (budget %.0f)\n", b.Name, per, budget.AllocsPerScenario)
 		}
-		if b.AllocsPerOp == 0 {
-			return fmt.Errorf("%s: no allocs/op (run the benchmark with -benchmem)", b.Name)
+		if budget.MBPerOp > 0 {
+			if b.BytesPerOp == 0 {
+				return fmt.Errorf("%s: no B/op (run the benchmark with -benchmem)", b.Name)
+			}
+			mb := b.BytesPerOp / 1e6
+			if mb > budget.MBPerOp {
+				return fmt.Errorf("%s: %.1f MB/op exceeds the pinned budget of %.1f", b.Name, mb, budget.MBPerOp)
+			}
+			fmt.Fprintf(w, "benchjson: gate ok: %s at %.1f MB/op (budget %.1f)\n", b.Name, mb, budget.MBPerOp)
 		}
-		per := b.AllocsPerOp / scenarios
-		if per > budget {
-			return fmt.Errorf("%s: %.0f allocs/scenario exceeds the pinned budget of %.0f", b.Name, per, budget)
-		}
-		fmt.Fprintf(w, "benchjson: gate ok: %s at %.0f allocs/scenario (budget %.0f)\n", b.Name, per, budget)
 	}
 	if matched == 0 {
 		return fmt.Errorf("gate pattern %q matched no benchmarks", pattern)

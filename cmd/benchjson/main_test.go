@@ -132,30 +132,58 @@ func TestGate(t *testing.T) {
 		{Pkg: "iothub", Name: "BenchmarkOther", AllocsPerOp: 10},
 	}}
 	var b strings.Builder
-	if err := Gate(&b, rec, "FleetSweep/workers=1", 500); err != nil {
+	if err := Gate(&b, rec, "FleetSweep/workers=1", Budget{AllocsPerScenario: 500}); err != nil {
 		t.Fatalf("within-budget gate failed: %v", err)
 	}
 	if !strings.Contains(b.String(), "gate ok") || !strings.Contains(b.String(), "118 allocs/scenario") {
 		t.Errorf("gate output = %q", b.String())
 	}
-	if err := Gate(io.Discard, rec, "FleetSweep/workers=1", 100); err == nil {
+	if err := Gate(io.Discard, rec, "FleetSweep/workers=1", Budget{AllocsPerScenario: 100}); err == nil {
 		t.Fatal("over-budget gate passed")
 	} else if !strings.Contains(err.Error(), "exceeds the pinned budget") {
 		t.Errorf("over-budget error = %v", err)
 	}
-	if err := Gate(io.Discard, rec, "NoSuchBenchmark", 500); err == nil {
+	if err := Gate(io.Discard, rec, "NoSuchBenchmark", Budget{AllocsPerScenario: 500}); err == nil {
 		t.Fatal("gate with no matching benchmark passed")
 	}
 	// A matching benchmark without the scenarios metric must fail loudly, not
 	// silently check nothing.
-	if err := Gate(io.Discard, rec, "BenchmarkOther", 500); err == nil {
+	if err := Gate(io.Discard, rec, "BenchmarkOther", Budget{AllocsPerScenario: 500}); err == nil {
 		t.Fatal("gate without a scenarios metric passed")
 	}
 	bare := &Record{Benchmarks: []Benchmark{
 		{Name: "BenchmarkFleetSweep/workers=1", Metrics: map[string]float64{"scenarios": 64}},
 	}}
-	if err := Gate(io.Discard, bare, "FleetSweep", 500); err == nil {
+	if err := Gate(io.Discard, bare, "FleetSweep", Budget{AllocsPerScenario: 500}); err == nil {
 		t.Fatal("gate without -benchmem allocation data passed")
+	}
+}
+
+func TestGateBytesPerOp(t *testing.T) {
+	rec := &Record{Benchmarks: []Benchmark{
+		{Pkg: "iothub", Name: "BenchmarkFig11MultiApp-2", BytesPerOp: 62_231_304, AllocsPerOp: 445_518},
+	}}
+	var b strings.Builder
+	if err := Gate(&b, rec, "Fig11MultiApp", Budget{MBPerOp: 100}); err != nil {
+		t.Fatalf("within-budget gate failed: %v", err)
+	}
+	if !strings.Contains(b.String(), "gate ok") || !strings.Contains(b.String(), "62.2 MB/op") {
+		t.Errorf("gate output = %q", b.String())
+	}
+	// The queue growth this gate guards against measured 210.7 MB/op.
+	grown := &Record{Benchmarks: []Benchmark{
+		{Name: "BenchmarkFig11MultiApp-2", BytesPerOp: 210_745_768, AllocsPerOp: 446_261},
+	}}
+	if err := Gate(io.Discard, grown, "Fig11MultiApp", Budget{MBPerOp: 100}); err == nil {
+		t.Fatal("over-budget gate passed")
+	} else if !strings.Contains(err.Error(), "210.7 MB/op exceeds the pinned budget") {
+		t.Errorf("over-budget error = %v", err)
+	}
+	// A bytes-only budget needs no scenarios metric, but it does need
+	// -benchmem data.
+	bare := &Record{Benchmarks: []Benchmark{{Name: "BenchmarkFig11MultiApp-2", NsPerOp: 1}}}
+	if err := Gate(io.Discard, bare, "Fig11MultiApp", Budget{MBPerOp: 100}); err == nil {
+		t.Fatal("gate without -benchmem byte data passed")
 	}
 }
 

@@ -77,9 +77,12 @@ const historyBlockSZX = 2
 // Compute aggregates the window and serves one GET per resource plus a
 // blockwise (RFC 7959) fetch of the full history document: each request is
 // marshaled, unmarshaled at the server, dispatched by Uri-Path, and answered
-// with a piggybacked 2.05 Content JSON payload.
+// with a piggybacked 2.05 Content JSON payload. The history document is
+// rendered once per window and every block is served from that one
+// representation, as RFC 7959 expects of a blockwise transfer.
 func (a *App) Compute(in apps.WindowInput) (apps.Result, error) {
 	var served []byte
+	var doc []byte // the history representation, rendered before its first block
 	exchanges := 0
 	exchange := func(req *coapmsg.Message) (*coapmsg.Message, error) {
 		wire, err := req.Marshal()
@@ -90,7 +93,7 @@ func (a *App) Compute(in apps.WindowInput) (apps.Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("coapserver: parse request: %w", err)
 		}
-		reply, err := a.serve(parsed, in)
+		reply, err := a.serve(parsed, in, doc)
 		if err != nil {
 			return nil, err
 		}
@@ -168,6 +171,10 @@ func (a *App) Compute(in apps.WindowInput) (apps.Result, error) {
 
 	// Blockwise fetch of /sensors/history — the full per-sample document is
 	// far beyond a constrained client's MTU.
+	var err error
+	if doc, err = a.history(in); err != nil {
+		return apps.Result{}, err
+	}
 	var asm coapmsg.Assembler
 	blocks := 0
 	for !asm.Done() {
@@ -267,17 +274,14 @@ func SplitReplies(b []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// serve dispatches a parsed request against the sensor resources.
-func (a *App) serve(req *coapmsg.Message, in apps.WindowInput) (*coapmsg.Message, error) {
+// serve dispatches a parsed request against the sensor resources. History
+// blocks are cut from doc, the window's one rendered history representation.
+func (a *App) serve(req *coapmsg.Message, in apps.WindowInput, doc []byte) (*coapmsg.Message, error) {
 	path := req.PathOptions()
 	if len(path) != 2 || path[0] != "sensors" {
 		return coapmsg.NewReply(req, coapmsg.CodeBadReq, coapmsg.FormatText, nil), nil
 	}
 	if path[1] == "history" {
-		doc, err := a.history(in)
-		if err != nil {
-			return nil, err
-		}
 		blk, found, err := req.BlockOption(coapmsg.OptBlock2)
 		if err != nil {
 			return coapmsg.NewReply(req, coapmsg.CodeBadReq, coapmsg.FormatText, nil), nil

@@ -1,6 +1,11 @@
 package coapserver
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"sort"
+	"strconv"
 	"testing"
 
 	"iothub/internal/apps"
@@ -131,7 +136,7 @@ func TestReplyPayloadIsAggregatedJSON(t *testing.T) {
 	req := &coapmsg.Message{Type: coapmsg.Confirmable, Code: coapmsg.CodeGET, MessageID: 9}
 	req.AddOption(coapmsg.OptUriPath, []byte("sensors"))
 	req.AddOption(coapmsg.OptUriPath, []byte("light"))
-	reply, err := a.serve(req, in)
+	reply, err := a.serve(req, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestServeErrorPaths(t *testing.T) {
 	miss := &coapmsg.Message{Type: coapmsg.Confirmable, Code: coapmsg.CodeGET, MessageID: 1}
 	miss.AddOption(coapmsg.OptUriPath, []byte("sensors"))
 	miss.AddOption(coapmsg.OptUriPath, []byte("nonexistent"))
-	reply, err := a.serve(miss, in)
+	reply, err := a.serve(miss, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +174,7 @@ func TestServeErrorPaths(t *testing.T) {
 		t.Errorf("missing resource code = %v, want 4.04", reply.Code)
 	}
 	bad := &coapmsg.Message{Type: coapmsg.Confirmable, Code: coapmsg.CodeGET, MessageID: 2}
-	reply, err = a.serve(bad, in)
+	reply, err = a.serve(bad, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,5 +265,91 @@ func TestObserveNotificationsInLaterWindows(t *testing.T) {
 	}
 	if seq2 <= seq {
 		t.Errorf("sequence %d then %d, want increasing", seq, seq2)
+	}
+}
+
+// resultDigest hashes a window's Upstream and its Metrics (name-sorted,
+// shortest round-trip formatting) into one hex string.
+func resultDigest(res apps.Result) string {
+	h := sha256.New()
+	h.Write(res.Upstream)
+	keys := make([]string, 0, len(res.Metrics))
+	for k := range res.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		h.Write([]byte(k + "=" + strconv.FormatFloat(res.Metrics[k], 'g', -1, 64) + "\n"))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestComputeOutputPinned pins A1's served bytes and metrics for three
+// consecutive windows at a fixed seed. The digests were taken when every
+// history block re-rendered the whole document; serving all blocks from one
+// representation per window must not change a byte.
+func TestComputeOutputPinned(t *testing.T) {
+	a, err := New(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, want := range []string{
+		"8c4b7d52f9133bb6624424765bd810b06c630350311eddf8d8bd815ec16ed462",
+		"fb20dd56657faac14cb0748ff78ec3a73f1a54fac3e09b25256cb2be2e0faed5",
+		"56a7e401fc182cd9e43ed08649d5f5fd07c3812d0d996e93abfd562d1ccae0bc",
+	} {
+		if got := resultDigest(computeWindow(t, a, w)); got != want {
+			t.Errorf("window %d digest = %s, want %s", w, got, want)
+		}
+	}
+}
+
+// TestHistoryBlocksMatchFreshRender checks every served history block
+// against the matching slice of a fresh render of the window's document.
+func TestHistoryBlocksMatchFreshRender(t *testing.T) {
+	a, err := New(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 3; w++ {
+		in, err := apps.CollectWindow(a, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Compute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := a.history(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := SplitReplies(res.Upstream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := 0
+		for _, f := range frames {
+			reply, err := coapmsg.Unmarshal(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blk, found, err := reply.BlockOption(coapmsg.OptBlock2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !found {
+				continue
+			}
+			lo := blk.Offset()
+			hi := min(lo+blk.Size(), len(doc))
+			if lo > hi || !bytes.Equal(reply.Payload, doc[lo:hi]) {
+				t.Fatalf("window %d block %d: payload differs from doc[%d:%d]", w, blk.Num, lo, hi)
+			}
+			blocks++
+		}
+		if want := int(res.Metrics["blocks"]); blocks != want || blocks < 2 {
+			t.Errorf("window %d: checked %d blocks, Compute served %d", w, blocks, want)
+		}
 	}
 }

@@ -132,12 +132,8 @@ type CPU struct {
 	params Params
 	state  State
 
-	// Work queues are ring buffers: the head index advances on pop instead
-	// of reslicing, so a drained queue's backing array is reused forever.
-	queueIO      []workItem
-	ioHead       int
-	queueCompute []workItem
-	computeHead  int
+	queueIO      sim.FIFO[workItem]
+	queueCompute sim.FIFO[workItem]
 	ioBusy       bool
 	ioRoutine    energy.Routine
 	computeBusy  int
@@ -148,7 +144,7 @@ type CPU struct {
 	inflight     []workItem
 	inflightFree []int32
 
-	busy  map[energy.Routine]time.Duration
+	busy  energy.RoutineTimes
 	wakes int
 
 	obs *obs.Recorder
@@ -185,7 +181,6 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 		track:  meter.Track(name),
 		params: params,
 		state:  WFI,
-		busy:   make(map[energy.Routine]time.Duration),
 	}
 	c.track.Set(params.WFIW, energy.Idle)
 	return c, nil
@@ -194,7 +189,7 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 // Reset reinitializes the processor in place for a new run, exactly as New
 // would construct it: the scheduler and meter must have been reset first,
 // and the track is re-requested so it registers at this call's position in
-// the meter's component order. Queue, slot, and busy-map capacity is kept.
+// the meter's component order. Queue and slot capacity is kept.
 func (c *CPU) Reset(params Params) error {
 	if err := validateParams(params); err != nil {
 		return err
@@ -202,10 +197,8 @@ func (c *CPU) Reset(params Params) error {
 	c.track = c.meter.Track(c.name)
 	c.params = params
 	c.state = WFI
-	c.queueIO = c.queueIO[:0]
-	c.ioHead = 0
-	c.queueCompute = c.queueCompute[:0]
-	c.computeHead = 0
+	c.queueIO.Reset()
+	c.queueCompute.Reset()
 	c.ioBusy = false
 	c.ioRoutine = 0
 	c.computeBusy = 0
@@ -214,7 +207,7 @@ func (c *CPU) Reset(params Params) error {
 	}
 	c.inflight = c.inflight[:0]
 	c.inflightFree = c.inflightFree[:0]
-	clear(c.busy)
+	c.busy = energy.RoutineTimes{}
 	c.wakes = 0
 	c.obs = nil
 	c.resid = [Waking + 1]time.Duration{}
@@ -260,11 +253,10 @@ func (c *CPU) State() State { return c.state }
 
 // Busy reports whether work is executing or queued.
 func (c *CPU) Busy() bool {
-	return c.ioBusy || c.computeBusy > 0 || c.ioQueued() > 0 || c.computeQueued() > 0
+	return c.ioBusy || c.computeBusy > 0 || c.queued()
 }
 
-func (c *CPU) ioQueued() int      { return len(c.queueIO) - c.ioHead }
-func (c *CPU) computeQueued() int { return len(c.queueCompute) - c.computeHead }
+func (c *CPU) queued() bool { return c.queueIO.Len() > 0 || c.queueCompute.Len() > 0 }
 
 // computeCapacity is the number of concurrent compute-lane items.
 func (c *CPU) computeCapacity() int {
@@ -284,13 +276,7 @@ func (c *CPU) ComputeTime(millionInstr float64) time.Duration {
 }
 
 // BusyByRoutine returns cumulative execution (not stall) time per routine.
-func (c *CPU) BusyByRoutine() map[energy.Routine]time.Duration {
-	out := make(map[energy.Routine]time.Duration, len(c.busy))
-	for r, d := range c.busy {
-		out[r] = d
-	}
-	return out
-}
+func (c *CPU) BusyByRoutine() map[energy.Routine]time.Duration { return c.busy.Map() }
 
 // Exec queues d of work attributed to routine r; done (may be nil) runs when
 // the work completes. Interrupt and DataTransfer work serializes on the IO
@@ -306,17 +292,20 @@ func (c *CPU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("cpu: negative work duration %v", d)
 	}
+	if !r.Known() {
+		return fmt.Errorf("cpu: unknown routine %v", r)
+	}
 	item := workItem{d: d, r: r, done: done}
 	if isIO(r) {
-		c.queueIO = append(c.queueIO, item)
+		c.queueIO.PushBack(item)
 	} else {
-		c.queueCompute = append(c.queueCompute, item)
+		c.queueCompute.PushBack(item)
 	}
 	return c.maybeStart()
 }
 
 func (c *CPU) maybeStart() error {
-	if c.ioQueued() == 0 && c.computeQueued() == 0 {
+	if !c.queued() {
 		return nil
 	}
 	switch c.state {
@@ -329,8 +318,8 @@ func (c *CPU) maybeStart() error {
 			wake = c.params.WakeFromDeep
 		}
 		wakeFor := energy.AppCompute
-		if c.ioQueued() > 0 {
-			wakeFor = c.queueIO[c.ioHead].r
+		if c.queueIO.Len() > 0 {
+			wakeFor = c.queueIO.Front().r
 		}
 		c.setState(Waking)
 		c.wakes++
@@ -340,16 +329,16 @@ func (c *CPU) maybeStart() error {
 		}
 		return nil
 	default:
-		if !c.ioBusy && c.ioQueued() > 0 {
-			item := c.popIO()
+		if !c.ioBusy && c.queueIO.Len() > 0 {
+			item := c.queueIO.PopFront()
 			c.ioBusy = true
 			c.ioRoutine = item.r
 			if err := c.beginWork(item); err != nil {
 				return err
 			}
 		}
-		for c.computeBusy < c.computeCapacity() && c.computeQueued() > 0 {
-			item := c.popCompute()
+		for c.computeBusy < c.computeCapacity() && c.queueCompute.Len() > 0 {
+			item := c.queueCompute.PopFront()
 			c.computeBusy++
 			if err := c.beginWork(item); err != nil {
 				return err
@@ -357,28 +346,6 @@ func (c *CPU) maybeStart() error {
 		}
 		return nil
 	}
-}
-
-func (c *CPU) popIO() workItem {
-	item := c.queueIO[c.ioHead]
-	c.queueIO[c.ioHead] = workItem{}
-	c.ioHead++
-	if c.ioHead == len(c.queueIO) {
-		c.queueIO = c.queueIO[:0]
-		c.ioHead = 0
-	}
-	return item
-}
-
-func (c *CPU) popCompute() workItem {
-	item := c.queueCompute[c.computeHead]
-	c.queueCompute[c.computeHead] = workItem{}
-	c.computeHead++
-	if c.computeHead == len(c.queueCompute) {
-		c.queueCompute = c.queueCompute[:0]
-		c.computeHead = 0
-	}
-	return item
 }
 
 // OnEvent dispatches the processor's own scheduled events — wake completion
@@ -432,7 +399,7 @@ func (c *CPU) setActivePower() {
 }
 
 func (c *CPU) endWork(item workItem) {
-	c.busy[item.r] += item.d
+	c.busy.Add(item.r, item.d)
 	c.obs.Span("cpu", item.r.String(), item.startAt, c.sched.Now())
 	if isIO(item.r) {
 		c.ioBusy = false
@@ -441,7 +408,7 @@ func (c *CPU) endWork(item workItem) {
 	}
 	if c.ioBusy || c.computeBusy > 0 {
 		c.setActivePower()
-	} else if c.ioQueued() == 0 && c.computeQueued() == 0 {
+	} else if !c.queued() {
 		// Default to stalling; the scheme's done callback typically refines
 		// this with an Idle call carrying the expected gap.
 		c.setState(WFI)

@@ -85,6 +85,42 @@ func TestExecRejectsNegativeDuration(t *testing.T) {
 	}
 }
 
+func TestExecRejectsUnknownRoutine(t *testing.T) {
+	c, _, _ := newCPU(t)
+	for _, r := range []energy.Routine{0, energy.Idle + 1} {
+		if err := c.Exec(time.Millisecond, r, nil); err == nil {
+			t.Errorf("routine %v accepted", r)
+		}
+	}
+	if c.Busy() {
+		t.Error("a rejected item was queued")
+	}
+}
+
+// TestBusyByRoutineKeepsZeroLengthEntries pins the key set: a routine that
+// only ran zero-length items still has a (zero) entry, and one that never
+// ran has none.
+func TestBusyByRoutineKeepsZeroLengthEntries(t *testing.T) {
+	c, s, _ := newCPU(t)
+	if err := c.Exec(0, energy.Interrupt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Exec(3*time.Millisecond, energy.AppCompute, nil); err != nil {
+		t.Fatal(err)
+	}
+	run(t, s)
+	got := c.BusyByRoutine()
+	want := map[energy.Routine]time.Duration{energy.Interrupt: 0, energy.AppCompute: 3 * time.Millisecond}
+	if len(got) != len(want) {
+		t.Fatalf("BusyByRoutine = %v, want %v", got, want)
+	}
+	for r, d := range want {
+		if g, ok := got[r]; !ok || g != d {
+			t.Errorf("BusyByRoutine[%v] = %v (present %v), want %v", r, g, ok, d)
+		}
+	}
+}
+
 func TestIdlePicksWFIForShortGap(t *testing.T) {
 	c, _, _ := newCPU(t)
 	if err := c.Idle(500*time.Microsecond, energy.DataTransfer, false); err != nil {

@@ -19,6 +19,7 @@ package energy
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -49,6 +50,36 @@ const routineSlots = int(Idle) + 1
 
 // Routines lists all routines in display order.
 var Routines = []Routine{DataCollection, Interrupt, DataTransfer, AppCompute, Idle}
+
+// Known reports whether r is one of the five routines.
+func (r Routine) Known() bool { return r >= DataCollection && r <= Idle }
+
+// RoutineTimes accumulates time per routine on a dense array, the per-event
+// form of a routine-keyed busy map. A presence mask records every routine
+// ever added, so a zero-length item still yields a (zero) entry in Map,
+// exactly as a map update would. The zero value is empty.
+type RoutineTimes struct {
+	d    [routineSlots]time.Duration
+	seen uint8 // bit r set once routine r has been added
+}
+
+// Add accrues d to routine r, which must be Known.
+func (t *RoutineTimes) Add(r Routine, d time.Duration) {
+	t.d[r] += d
+	t.seen |= 1 << uint(r)
+}
+
+// Map returns the accrued times keyed by routine, one entry per routine
+// ever added.
+func (t *RoutineTimes) Map() map[Routine]time.Duration {
+	out := make(map[Routine]time.Duration, bits.OnesCount8(t.seen))
+	for _, r := range Routines {
+		if t.seen&(1<<uint(r)) != 0 {
+			out[r] = t.d[r]
+		}
+	}
+	return out
+}
 
 // String returns the paper's label for the routine.
 func (r Routine) String() string {

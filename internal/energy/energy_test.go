@@ -266,3 +266,49 @@ func TestPropertyBreakdownMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRoutineTimesMatchesMap drives random adds (zero lengths included)
+// into a RoutineTimes and a routine-keyed map: Map must return the same key
+// set and values, and the zero value must be empty.
+func TestRoutineTimesMatchesMap(t *testing.T) {
+	var empty RoutineTimes
+	if got := empty.Map(); len(got) != 0 {
+		t.Fatalf("zero RoutineTimes.Map() = %v, want empty", got)
+	}
+	f := func(rs []uint8, ds []uint16) bool {
+		var rt RoutineTimes
+		ref := map[Routine]time.Duration{}
+		for i, b := range rs {
+			r := Routines[int(b)%len(Routines)]
+			d := time.Duration(0)
+			if i < len(ds) {
+				d = time.Duration(ds[i]%4) * time.Microsecond // zero a quarter of the time
+			}
+			rt.Add(r, d)
+			ref[r] += d
+		}
+		got := rt.Map()
+		if len(got) != len(ref) {
+			return false
+		}
+		for r, d := range ref {
+			if g, ok := got[r]; !ok || g != d {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, r := range Routines {
+		if !r.Known() {
+			t.Errorf("%v not Known", r)
+		}
+	}
+	for _, r := range []Routine{0, Idle + 1, -1} {
+		if r.Known() {
+			t.Errorf("%v Known", r)
+		}
+	}
+}

@@ -157,7 +157,10 @@ const peakPendingBound = 64
 // multi-app run (four apps, three windows, app compute on): the scheduled
 // event count is pinned exactly — chaining the periodic series must push
 // every event the pre-enqueued runner pushed, no more, no fewer — and the
-// heap high-water mark must stay small.
+// heap high-water mark must stay small. The Baseline run also overloads the
+// MCU (its work queue never drains for long), so it pins the device-queue
+// bound: the queue's backing array stays within twice its peak depth instead
+// of growing with every item pushed over the run.
 func TestFig11EventTrafficPinned(t *testing.T) {
 	combo := []apps.ID{apps.StepCounter, apps.M2X, apps.Blynk, apps.Earthquake}
 	for _, tc := range []struct {
@@ -181,6 +184,11 @@ func TestFig11EventTrafficPinned(t *testing.T) {
 				t.Errorf("heap high-water %d pending events, bound %d", peak, peakPendingBound)
 			}
 			t.Logf("scheduled %d, heap high-water %d (bound %d)", scheduled, peak, peakPendingBound)
+			qPeak, qCap := arena.MCUQueueStats()
+			if qCap > max(2*qPeak, 8) { // 8: the ring's first allocation
+				t.Errorf("MCU queue capacity %d exceeds twice its peak depth %d", qCap, qPeak)
+			}
+			t.Logf("MCU queue peak depth %d, capacity %d", qPeak, qCap)
 		})
 	}
 }

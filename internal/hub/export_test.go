@@ -7,3 +7,7 @@ func (a *Arena) SchedStats() (scheduled uint64, peak int) {
 	scheduled, _ = a.r.sched.Stats()
 	return scheduled, a.r.sched.PeakPending()
 }
+
+// MCUQueueStats reports the MCU work queue's peak depth and backing-array
+// size over the arena's last run.
+func (a *Arena) MCUQueueStats() (peak, capacity int) { return a.r.mcu.QueueStats() }

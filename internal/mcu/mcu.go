@@ -86,14 +86,11 @@ type MCU struct {
 	name  string
 	track *energy.Track
 
-	params Params
-	// The work queue is a ring buffer: head advances on pop instead of
-	// reslicing, so the backing array is reused forever.
-	queue   []workItem
-	head    int
+	params  Params
+	queue   sim.FIFO[workItem]
 	running bool
 	ramUsed int
-	busy    map[energy.Routine]time.Duration
+	busy    energy.RoutineTimes
 
 	// Crash/reboot state: while rebooting no work starts, RAM contents are
 	// gone, and new Exec items queue until the board comes back. A power
@@ -136,7 +133,6 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 		name:   name,
 		track:  meter.Track(name),
 		params: params,
-		busy:   make(map[energy.Routine]time.Duration),
 	}
 	m.track.Set(params.IdleW, energy.Idle)
 	return m, nil
@@ -145,21 +141,17 @@ func New(sched *sim.Scheduler, meter *energy.Meter, name string, params Params) 
 // Reset reinitializes the board in place for a new run, exactly as New would
 // construct it: the scheduler and meter must have been reset first, and the
 // track is re-requested so it registers at this call's position in the
-// meter's component order. Queue and busy-map capacity is kept.
+// meter's component order. Queue capacity is kept.
 func (m *MCU) Reset(params Params) error {
 	if err := validateParams(params); err != nil {
 		return err
 	}
 	m.track = m.meter.Track(m.name)
 	m.params = params
-	for i := range m.queue {
-		m.queue[i] = workItem{}
-	}
-	m.queue = m.queue[:0]
-	m.head = 0
+	m.queue.Reset()
 	m.running = false
 	m.ramUsed = 0
-	clear(m.busy)
+	m.busy = energy.RoutineTimes{}
 	m.rebooting = false
 	m.gated = false
 	m.crashes = 0
@@ -187,9 +179,12 @@ func (m *MCU) RAMHighWater() int { return m.highWater }
 func (m *MCU) Params() Params { return m.params }
 
 // Busy reports whether work is executing or queued.
-func (m *MCU) Busy() bool { return m.running || m.queued() > 0 }
+func (m *MCU) Busy() bool { return m.running || m.queue.Len() > 0 }
 
-func (m *MCU) queued() int { return len(m.queue) - m.head }
+// QueueStats reports the work queue's deepest point over the run and the
+// size of its backing array — a diagnostic for the bound DESIGN.md §7
+// states: capacity follows peak depth, not the number of items queued.
+func (m *MCU) QueueStats() (peak, capacity int) { return m.queue.Peak(), m.queue.Cap() }
 
 // RAMUsed reports currently allocated bytes.
 func (m *MCU) RAMUsed() int { return m.ramUsed }
@@ -232,13 +227,7 @@ func (m *MCU) OffloadTime(cpuTime time.Duration, fpPenalty float64) time.Duratio
 }
 
 // BusyByRoutine returns cumulative execution time per routine.
-func (m *MCU) BusyByRoutine() map[energy.Routine]time.Duration {
-	out := make(map[energy.Routine]time.Duration, len(m.busy))
-	for r, d := range m.busy {
-		out[r] = d
-	}
-	return out
-}
+func (m *MCU) BusyByRoutine() map[energy.Routine]time.Duration { return m.busy.Map() }
 
 // Exec queues d of work attributed to routine r; done (may be nil) runs on
 // completion. Work is serialized FIFO — the L106 is a single core.
@@ -252,26 +241,22 @@ func (m *MCU) ExecCall(d time.Duration, r energy.Routine, done sim.Done) error {
 	if d < 0 {
 		return fmt.Errorf("mcu: negative work duration %v", d)
 	}
-	m.queue = append(m.queue, workItem{d: d, r: r, done: done})
+	if !r.Known() {
+		return fmt.Errorf("mcu: unknown routine %v", r)
+	}
+	m.queue.PushBack(workItem{d: d, r: r, done: done})
 	return m.maybeStart()
 }
 
 func (m *MCU) maybeStart() error {
-	if m.running || m.rebooting || m.queued() == 0 {
+	if m.running || m.rebooting || m.queue.Len() == 0 {
 		return nil
 	}
 	m.running = true
-	item := m.queue[m.head]
-	m.queue[m.head] = workItem{}
-	m.head++
-	if m.head == len(m.queue) {
-		m.queue = m.queue[:0]
-		m.head = 0
-	}
-	item.startAt = m.sched.Now()
-	m.current = item
-	m.track.Set(m.params.ActiveW, item.r)
-	ev, err := m.sched.AfterCall(item.d, m, sim.Arg{Op: opEnd})
+	m.current = m.queue.PopFront()
+	m.current.startAt = m.sched.Now()
+	m.track.Set(m.params.ActiveW, m.current.r)
+	ev, err := m.sched.AfterCall(m.current.d, m, sim.Arg{Op: opEnd})
 	if err != nil {
 		return fmt.Errorf("mcu: schedule work end: %w", err)
 	}
@@ -293,10 +278,10 @@ func (m *MCU) OnEvent(a sim.Arg) {
 }
 
 func (m *MCU) endWork(item workItem) {
-	m.busy[item.r] += item.d
+	m.busy.Add(item.r, item.d)
 	m.obs.Span("mcu", item.r.String(), item.startAt, m.sched.Now())
 	m.running = false
-	if m.queued() == 0 {
+	if m.queue.Len() == 0 {
 		m.track.Set(m.params.IdleW, energy.Idle)
 	}
 	item.done.Invoke()
@@ -341,16 +326,7 @@ func (m *MCU) takeDown() {
 	if m.running {
 		m.sched.Cancel(m.endEv)
 		m.running = false
-		// Requeue at the head of the ring: reuse the popped slot when one
-		// exists, otherwise shift (rare — only when the queue was full).
-		if m.head > 0 {
-			m.head--
-			m.queue[m.head] = m.current
-		} else {
-			m.queue = append(m.queue, workItem{})
-			copy(m.queue[1:], m.queue)
-			m.queue[0] = m.current
-		}
+		m.queue.PushFront(m.current)
 	}
 	m.ramUsed = 0
 }
@@ -360,7 +336,7 @@ func (m *MCU) takeDown() {
 func (m *MCU) endReboot() {
 	m.rebooting = false
 	m.obs.Span("mcu", "reboot", m.downAt, m.sched.Now())
-	if m.queued() == 0 {
+	if m.queue.Len() == 0 {
 		m.track.Set(m.params.IdleW, energy.Idle)
 	}
 	cb := m.pendAlive

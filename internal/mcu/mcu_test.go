@@ -130,6 +130,18 @@ func TestExecRejectsNegative(t *testing.T) {
 	}
 }
 
+func TestExecRejectsUnknownRoutine(t *testing.T) {
+	mc, _, _ := newMCU(t)
+	for _, r := range []energy.Routine{0, energy.Idle + 1} {
+		if err := mc.Exec(time.Millisecond, r, nil); err == nil {
+			t.Errorf("routine %v accepted", r)
+		}
+	}
+	if mc.Busy() {
+		t.Error("a rejected item was queued")
+	}
+}
+
 func TestOffloadTimeSlowdown(t *testing.T) {
 	mc, _, _ := newMCU(t)
 	base := mc.OffloadTime(time.Millisecond, 1)
