@@ -143,16 +143,15 @@ bench-diff:
 #   - the arena keeps a steady-state fleet scenario at ~118 allocs;
 #     ALLOC_BUDGET pins the ceiling with headroom.
 #   - Fig. 11 allocates ~62 MB per pass with depth-bounded device queues
-#     (210.7 MB when the MCU queue grew with every push); FIG11_MB_BUDGET
-#     pins the ceiling between the two.
+#     (210.7 MB when the MCU queue grew with every push); the 100 MB/op
+#     ceiling sits between the two.
 ALLOC_BUDGET ?= 500
-FIG11_MB_BUDGET ?= 100
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'FleetSweep/workers=1$$' -benchmem -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson -gate FleetSweep/workers=1 -max-allocs-per-scenario $(ALLOC_BUDGET)
 	$(GO) test -run '^$$' -bench 'Fig11MultiApp$$' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -gate Fig11MultiApp -max-mb-per-op $(FIG11_MB_BUDGET)
+		| $(GO) run ./cmd/benchjson -gate Fig11MultiApp -max-mb-per-op 100
 
 # Regenerate every paper artifact (tables + figures) as ASCII.
 experiments:

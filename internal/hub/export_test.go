@@ -8,6 +8,6 @@ func (a *Arena) SchedStats() (scheduled uint64, peak int) {
 	return scheduled, a.r.sched.PeakPending()
 }
 
-// MCUQueueStats reports the MCU work queue's peak depth and backing-array
-// size over the arena's last run.
-func (a *Arena) MCUQueueStats() (peak, capacity int) { return a.r.mcu.QueueStats() }
+// MCUQueueCap reports the size of the MCU work queue's backing array after
+// the arena's last run.
+func (a *Arena) MCUQueueCap() int { return a.r.mcu.QueueCap() }

@@ -181,10 +181,10 @@ func (m *MCU) Params() Params { return m.params }
 // Busy reports whether work is executing or queued.
 func (m *MCU) Busy() bool { return m.running || m.queue.Len() > 0 }
 
-// QueueStats reports the work queue's deepest point over the run and the
-// size of its backing array — a diagnostic for the bound DESIGN.md §7
-// states: capacity follows peak depth, not the number of items queued.
-func (m *MCU) QueueStats() (peak, capacity int) { return m.queue.Peak(), m.queue.Cap() }
+// QueueCap reports the size of the work queue's backing array — a
+// diagnostic for the bound DESIGN.md §7 states: capacity follows peak
+// depth, not the number of items queued.
+func (m *MCU) QueueCap() int { return m.queue.Cap() }
 
 // RAMUsed reports currently allocated bytes.
 func (m *MCU) RAMUsed() int { return m.ramUsed }

@@ -15,7 +15,6 @@ type FIFO[T any] struct {
 	buf  []T // ring storage; len(buf) is zero or a power of two
 	head int // index of the front item
 	n    int // queued items
-	peak int // high-water mark of n since the last Reset
 }
 
 // fifoMinCap is the first allocation's size.
@@ -27,9 +26,6 @@ func (f *FIFO[T]) Len() int { return f.n }
 // Cap reports the size of the backing array.
 func (f *FIFO[T]) Cap() int { return len(f.buf) }
 
-// Peak reports the deepest the queue has been since the last Reset.
-func (f *FIFO[T]) Peak() int { return f.peak }
-
 // PushBack appends v at the back of the queue.
 func (f *FIFO[T]) PushBack(v T) {
 	if f.n == len(f.buf) {
@@ -37,9 +33,6 @@ func (f *FIFO[T]) PushBack(v T) {
 	}
 	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
 	f.n++
-	if f.n > f.peak {
-		f.peak = f.n
-	}
 }
 
 // PushFront inserts v at the front of the queue, ahead of every queued item.
@@ -50,9 +43,6 @@ func (f *FIFO[T]) PushFront(v T) {
 	f.head = (f.head - 1) & (len(f.buf) - 1)
 	f.buf[f.head] = v
 	f.n++
-	if f.n > f.peak {
-		f.peak = f.n
-	}
 }
 
 // Front returns the front item without removing it. It panics on an empty
@@ -78,7 +68,7 @@ func (f *FIFO[T]) PopFront() (v T) {
 	return v
 }
 
-// Reset empties the queue and zeroes the peak, keeping the backing array.
+// Reset empties the queue, keeping the backing array.
 // Only live slots need zeroing: popped ones already are.
 func (f *FIFO[T]) Reset() {
 	var zero T
@@ -87,7 +77,6 @@ func (f *FIFO[T]) Reset() {
 		f.head = (f.head + 1) & (len(f.buf) - 1)
 	}
 	f.head = 0
-	f.peak = 0
 }
 
 // grow doubles the backing array, unwrapping the queue to start at index 0.

@@ -7,13 +7,12 @@ import (
 
 // TestFIFOMatchesReferenceSlice drives random push-back / push-front / pop
 // interleavings (with the odd Reset) against a plain slice model: every
-// popped value, Front, Len and Peak must agree.
+// popped value, Front and Len must agree.
 func TestFIFOMatchesReferenceSlice(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var f FIFO[int]
 		var ref []int
-		peak := 0
 		for op := 0; op < 2000; op++ {
 			switch k := rng.Intn(20); {
 			case k < 8:
@@ -36,12 +35,11 @@ func TestFIFOMatchesReferenceSlice(t *testing.T) {
 			default:
 				if rng.Intn(10) == 0 {
 					f.Reset()
-					ref, peak = nil, 0
+					ref = nil
 				}
 			}
-			peak = max(peak, len(ref))
-			if f.Len() != len(ref) || f.Peak() != peak {
-				t.Fatalf("seed %d op %d: Len %d Peak %d, want %d %d", seed, op, f.Len(), f.Peak(), len(ref), peak)
+			if f.Len() != len(ref) {
+				t.Fatalf("seed %d op %d: Len %d, want %d", seed, op, f.Len(), len(ref))
 			}
 		}
 	}
@@ -54,23 +52,21 @@ func TestFIFOMatchesReferenceSlice(t *testing.T) {
 func TestFIFOCapacityBoundedByPeakDepth(t *testing.T) {
 	var f FIFO[int]
 	f.PushBack(-1)
-	pushes := 0
+	pushes, peak := 0, 1
 	for pushes < 100_000 {
 		for f.Len() < 64 {
 			f.PushBack(pushes)
 			pushes++
+			peak = max(peak, f.Len())
 		}
 		for f.Len() > 1 {
 			f.PopFront()
 		}
-		if f.Cap() > max(2*f.Peak(), fifoMinCap) {
-			t.Fatalf("after %d pushes: cap %d, peak depth %d", pushes, f.Cap(), f.Peak())
+		if f.Cap() > max(2*peak, fifoMinCap) {
+			t.Fatalf("after %d pushes: cap %d, peak depth %d", pushes, f.Cap(), peak)
 		}
 	}
-	if f.Peak() != 64 {
-		t.Errorf("peak depth = %d, want 64", f.Peak())
-	}
-	t.Logf("%d pushes, peak depth %d, cap %d", pushes, f.Peak(), f.Cap())
+	t.Logf("%d pushes, peak depth %d, cap %d", pushes, peak, f.Cap())
 }
 
 // TestFIFOZeroesPoppedAndResetSlots checks that no slot outside the live
@@ -106,8 +102,8 @@ func TestFIFOZeroesPoppedAndResetSlots(t *testing.T) {
 	}
 	f.Reset()
 	assertDeadZero("after Reset")
-	if f.Len() != 0 || f.Peak() != 0 || f.Cap() == 0 {
-		t.Errorf("after Reset: Len %d Peak %d Cap %d, want 0 0 >0", f.Len(), f.Peak(), f.Cap())
+	if f.Len() != 0 || f.Cap() == 0 {
+		t.Errorf("after Reset: Len %d Cap %d, want 0 >0", f.Len(), f.Cap())
 	}
 }
 
