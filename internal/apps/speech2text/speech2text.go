@@ -13,6 +13,7 @@ package speech2text
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"iothub/internal/apps"
@@ -65,17 +66,21 @@ var vocabulary = []sensor.AudioWord{
 	sensor.WordYes, sensor.WordNo, sensor.WordStop, sensor.WordGo,
 }
 
-// New returns the workload speaking the given utterance, one word per
-// window (defaults to a fixed four-word sequence when empty).
-func New(seed int64, utterance ...sensor.AudioWord) (*App, error) {
-	if len(utterance) == 0 {
-		utterance = []sensor.AudioWord{
-			sensor.WordYes, sensor.WordStop, sensor.WordGo, sensor.WordNo,
-		}
-	}
+// model is the recognizer's read-only half: the front-end and the MFCC
+// templates of the vocabulary. Neither depends on the seed, so every App
+// shares one copy.
+type model struct {
+	frontend  *speech.Frontend
+	templates []speech.Template
+}
+
+// sharedModel renders and encodes the vocabulary templates once per process.
+// Recognizer.Decode and DTW only read the templates and the front-end is
+// stateless, so concurrent apps can share them.
+var sharedModel = sync.OnceValues(func() (model, error) {
 	frontend, err := speech.NewFrontend(audioRate)
 	if err != nil {
-		return nil, fmt.Errorf("speech2text: %w", err)
+		return model{}, fmt.Errorf("speech2text: %w", err)
 	}
 	templates := make([]speech.Template, 0, len(vocabulary))
 	for _, w := range vocabulary {
@@ -87,14 +92,29 @@ func New(seed int64, utterance ...sensor.AudioWord) (*App, error) {
 		}
 		feats, err := frontend.Features(pcm)
 		if err != nil {
-			return nil, fmt.Errorf("speech2text: template %s: %w", w, err)
+			return model{}, fmt.Errorf("speech2text: template %s: %w", w, err)
 		}
 		if len(feats) == 0 {
-			return nil, fmt.Errorf("speech2text: template %s produced no frames", w)
+			return model{}, fmt.Errorf("speech2text: template %s produced no frames", w)
 		}
 		templates = append(templates, speech.Template{Word: w.String(), Features: feats})
 	}
-	recognizer, err := speech.NewRecognizer(frontend, templates)
+	return model{frontend: frontend, templates: templates}, nil
+})
+
+// New returns the workload speaking the given utterance, one word per
+// window (defaults to a fixed four-word sequence when empty).
+func New(seed int64, utterance ...sensor.AudioWord) (*App, error) {
+	if len(utterance) == 0 {
+		utterance = []sensor.AudioWord{
+			sensor.WordYes, sensor.WordStop, sensor.WordGo, sensor.WordNo,
+		}
+	}
+	m, err := sharedModel()
+	if err != nil {
+		return nil, err
+	}
+	recognizer, err := speech.NewRecognizer(m.frontend, m.templates)
 	if err != nil {
 		return nil, fmt.Errorf("speech2text: %w", err)
 	}

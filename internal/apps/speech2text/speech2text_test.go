@@ -1,6 +1,7 @@
 package speech2text
 
 import (
+	"sync"
 	"testing"
 
 	"iothub/internal/apps"
@@ -108,5 +109,60 @@ func TestComputeRejectsBadAudio(t *testing.T) {
 	}}
 	if _, err := a.Compute(bad); err == nil {
 		t.Error("malformed sample accepted")
+	}
+}
+
+// TestConcurrentAppsShareTemplates runs two apps over the shared vocabulary
+// templates at once (the race detector watches the sharing) and checks both
+// against the transcripts pinned when every New built its own templates.
+func TestConcurrentAppsShareTemplates(t *testing.T) {
+	cases := []struct {
+		seed      int64
+		utterance []sensor.AudioWord
+		want      []string
+	}{
+		{21, nil, []string{"yes", "stop", "go", "no", ""}},
+		{81, []sensor.AudioWord{sensor.WordGo, sensor.WordNo, sensor.WordYes, sensor.WordStop},
+			[]string{"go", "no", "yes", "stop", ""}},
+	}
+	var wg sync.WaitGroup
+	for _, c := range cases {
+		a, err := New(c.seed, c.utterance...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for w, want := range c.want {
+				in, err := apps.CollectWindow(a, w)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := a.Compute(in)
+				if err != nil {
+					t.Errorf("seed %d window %d: %v", c.seed, w, err)
+					return
+				}
+				if string(res.Upstream) != want {
+					t.Errorf("seed %d window %d: transcript %q, want %q", c.seed, w, res.Upstream, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestNewReusesTemplates pins the once-per-process model: after the first
+// New, constructing an app allocates only its own small state (the default
+// utterance, recognizer, audio source and App), not the ~900 allocations of
+// rendering and encoding the vocabulary.
+func TestNewReusesTemplates(t *testing.T) {
+	if _, err := New(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(10, func() { _, _ = New(1) }); got > 4 {
+		t.Errorf("New allocates %v times after the first call, want <= 4", got)
 	}
 }

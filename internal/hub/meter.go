@@ -104,7 +104,9 @@ func (r *runner) meterSample(execT time.Duration, cycles int64) {
 		return
 	}
 	if m.PerSampleRAM > 0 {
-		if err := r.mcu.Alloc(m.PerSampleRAM); err != nil {
+		// Test the free space first: a shed reading is routine under RAM
+		// pressure, and Alloc's error would be formatted only to be dropped.
+		if m.PerSampleRAM > r.mcu.RAMFree() || r.mcu.Alloc(m.PerSampleRAM) != nil {
 			// Buffer full against app batches: shed the reading rather than
 			// evict workload data.
 			r.res.MeterDroppedSamples++

@@ -279,3 +279,42 @@ func TestMeterScenarioRoundTrip(t *testing.T) {
 		t.Errorf("meter-free scenario leaks a meter field: %s", plain)
 	}
 }
+
+// TestMeterShedAllocsFlat pins the RAM-pressure path's cost: a reading shed
+// to a full buffer is a counter bump, so a warmed arena allocates the same
+// for a run that sheds 1,000 readings as for one that sheds 5,000.
+func TestMeterShedAllocsFlat(t *testing.T) {
+	allocs := func(rateHz float64) float64 {
+		m := obs.Insitu(rateHz)
+		m.HookCycles = 0
+		m.PerSampleRAM = 1 << 30 // no MCU buffer holds one record: shed them all
+		s := hub.Scenario{
+			Apps:           []apps.ID{apps.StepCounter},
+			Scheme:         hub.Batching,
+			Windows:        1,
+			Seed:           7,
+			SkipAppCompute: true,
+			Meter:          &m,
+		}
+		arena := hub.NewArena()
+		for i := 0; i < 3; i++ {
+			res, err := arena.RunScenario(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int(rateHz); res.MeterDroppedSamples != want || res.MeterSamples != 0 {
+				t.Fatalf("%g Hz: shed %d and kept %d readings, want %d shed", rateHz, res.MeterDroppedSamples, res.MeterSamples, want)
+			}
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := arena.RunScenario(s); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(1000), allocs(5000)
+	if many > few+10 {
+		t.Errorf("shedding 5,000 readings allocates %.0f times, 1,000 readings %.0f: the shed path allocates per reading", many, few)
+	}
+	t.Logf("allocs per run: %.0f shedding 1,000 readings, %.0f shedding 5,000", few, many)
+}

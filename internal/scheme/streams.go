@@ -39,7 +39,11 @@ type Consumer struct {
 // PlanDedicated lays out the default topology: one stream per (app, sensor)
 // pair at the app's own rate, energy tracked per pair.
 func PlanDedicated(v ConfigView) ([]StreamSpec, error) {
-	var out []StreamSpec
+	n := 0
+	for _, sp := range v.Specs {
+		n += len(sp.Sensors)
+	}
+	out := make([]StreamSpec, 0, n)
 	for _, sp := range v.Specs {
 		for _, u := range sp.Sensors {
 			sspec, err := sensor.Lookup(u.Sensor)

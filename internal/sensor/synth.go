@@ -71,6 +71,24 @@ func DecodeVec3(b []byte) (Vec3, error) {
 	}, nil
 }
 
+// lazyRand is a source's private generator, built on its first draw: a
+// math/rand source is ~4.9 KB of state plus ~780 seeding steps, and a run
+// that never reads a sensor's values (a skip-compute run) should not pay for
+// it. Each source seeds its own generator from its own seed, so the draw
+// sequence is the same as an eagerly built one's.
+type lazyRand struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+// norm returns the next standard normal draw.
+func (l *lazyRand) norm() float64 {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng.NormFloat64()
+}
+
 // AccelWalk generates accelerometer samples of a person walking: gravity on
 // Z, a vertical oscillation at StepHz whose positive-going zero crossings are
 // steps, plus seeded noise. Units are milli-g, matching the ADXL335's scaled
@@ -80,7 +98,7 @@ type AccelWalk struct {
 	StepHz    float64 // steps per second
 	AmplMilli float64 // oscillation amplitude, milli-g
 	Noise     float64 // noise stddev, milli-g
-	rng       *rand.Rand
+	rng       lazyRand
 	noiseAt   int
 	noiseVals []float64
 }
@@ -92,7 +110,7 @@ func NewAccelWalk(seed int64, rateHz, stepHz float64) *AccelWalk {
 		StepHz:    stepHz,
 		AmplMilli: 250,
 		Noise:     20,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       lazyRand{seed: seed},
 	}
 }
 
@@ -100,7 +118,7 @@ func NewAccelWalk(seed int64, rateHz, stepHz float64) *AccelWalk {
 // of its index even though the underlying generator is sequential.
 func (a *AccelWalk) noise(i int) float64 {
 	for a.noiseAt <= i {
-		a.noiseVals = append(a.noiseVals, a.rng.NormFloat64()*a.Noise)
+		a.noiseVals = append(a.noiseVals, a.rng.norm()*a.Noise)
 		a.noiseAt++
 	}
 	return a.noiseVals[i]
@@ -129,7 +147,7 @@ type AccelQuake struct {
 	RateHz     float64
 	BurstStart int
 	BurstLen   int
-	rng        *rand.Rand
+	rng        lazyRand
 	noiseAt    int
 	noiseVals  []float64
 }
@@ -141,13 +159,13 @@ func NewAccelQuake(seed int64, rateHz float64, burstStart, burstLen int) *AccelQ
 		RateHz:     rateHz,
 		BurstStart: burstStart,
 		BurstLen:   burstLen,
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        lazyRand{seed: seed},
 	}
 }
 
 func (q *AccelQuake) noise(i int) float64 {
 	for q.noiseAt <= i {
-		q.noiseVals = append(q.noiseVals, q.rng.NormFloat64())
+		q.noiseVals = append(q.noiseVals, q.rng.norm())
 		q.noiseAt++
 	}
 	return q.noiseVals[i]
@@ -177,7 +195,7 @@ type ECGWave struct {
 	RateHz    float64
 	BPM       float64
 	Irregular map[int]bool // beat index -> irregular
-	rng       *rand.Rand
+	rng       lazyRand
 	peaks     []int // sample indices of R peaks, grown on demand
 	noiseAt   int
 	noiseVals []float64
@@ -194,13 +212,13 @@ func NewECGWave(seed int64, rateHz, bpm float64, irregularBeats ...int) *ECGWave
 		RateHz:    rateHz,
 		BPM:       bpm,
 		Irregular: irr,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       lazyRand{seed: seed},
 	}
 }
 
 func (e *ECGWave) noise(i int) float64 {
 	for e.noiseAt <= i {
-		e.noiseVals = append(e.noiseVals, e.rng.NormFloat64()*8)
+		e.noiseVals = append(e.noiseVals, e.rng.norm()*8)
 		e.noiseAt++
 	}
 	return e.noiseVals[i]
@@ -301,7 +319,7 @@ type AudioSpeech struct {
 	Words   []AudioWord
 	WordLen int // samples per word
 	GapLen  int // silence samples between words
-	rng     *rand.Rand
+	rng     lazyRand
 	nAt     int
 	nVals   []float64
 }
@@ -313,13 +331,13 @@ func NewAudioSpeech(seed int64, rateHz float64, wordLen, gapLen int, words ...Au
 		Words:   words,
 		WordLen: wordLen,
 		GapLen:  gapLen,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     lazyRand{seed: seed},
 	}
 }
 
 func (a *AudioSpeech) noise(i int) float64 {
 	for a.nAt <= i {
-		a.nVals = append(a.nVals, a.rng.NormFloat64()*20)
+		a.nVals = append(a.nVals, a.rng.norm()*20)
 		a.nAt++
 	}
 	return a.nVals[i]
@@ -407,7 +425,7 @@ type Scalar struct {
 	Base     float64
 	Step     float64
 	AsInt    bool // encode as Int (4 B) rather than Double (8 B)
-	rng      *rand.Rand
+	rng      lazyRand
 	walkAt   int
 	walkVals []float64
 }
@@ -415,7 +433,7 @@ type Scalar struct {
 // NewScalar returns a deterministic environmental source for the given
 // sensor, with baselines in the sensor's natural units.
 func NewScalar(seed int64, kind ScalarKind) *Scalar {
-	s := &Scalar{Kind: kind, rng: rand.New(rand.NewSource(seed))}
+	s := &Scalar{Kind: kind, rng: lazyRand{seed: seed}}
 	switch kind {
 	case ScalarPressure:
 		s.Base, s.Step = 101325, 2
@@ -440,7 +458,7 @@ func (s *Scalar) ValueAt(i int) float64 {
 		if s.walkAt > 0 {
 			prev = s.walkVals[s.walkAt-1]
 		}
-		s.walkVals = append(s.walkVals, prev+s.rng.NormFloat64()*s.Step)
+		s.walkVals = append(s.walkVals, prev+s.rng.norm()*s.Step)
 		s.walkAt++
 	}
 	return s.walkVals[i]

@@ -48,7 +48,7 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 var ErrStopped = errors.New("simulation stopped")
 
 // Arg is the context an event carries to a Callback: a small operation
-// discriminator plus two integer and two pointer payloads. It rides inside
+// discriminator plus two integer payloads and one pointer payload. It rides inside
 // the event's arena slot, so scheduling with AtCall/AfterCall captures no
 // closure — the allocation-free alternative to At/After for hot paths that
 // fire the same handler with different context millions of times per run.
@@ -57,7 +57,7 @@ type Arg struct {
 	// (typically a switch in OnEvent).
 	Op     int
 	I0, I1 int64
-	P0, P1 any
+	P0     any
 }
 
 // Callback is the closure-free event handler: OnEvent receives the Arg the
