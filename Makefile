@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check lint-scheme fuzz fleet-smoke service-smoke obs-smoke observer-smoke opt-smoke harvest-smoke bench bench-json bench-diff bench-smoke experiments ablations examples clean
+.PHONY: all build test race vet fmt check lint-scheme fuzz fleet-smoke service-smoke obs-smoke bench bench-smoke experiments ablations examples clean
 
 all: build vet test check
 
@@ -35,11 +35,16 @@ lint-scheme:
 	fi; echo "lint-scheme: ok"
 
 # check is the pre-merge gate: static analysis, the scheme-placement lint,
-# the race detector, the optimizer determinism smoke, the observer-effect
-# smoke, the battery/harvest smoke, and short fuzz passes over the four
-# decoders that consume user-shaped bytes (CoAP wire format, harvest trace
-# grammar, sweep spec JSON, fault schedule grammar).
-check: vet lint-scheme race opt-smoke observer-smoke harvest-smoke fuzz
+# the race detector, and short fuzz passes over the four decoders that
+# consume user-shaped bytes (CoAP wire format, harvest trace grammar, sweep
+# spec JSON, fault schedule grammar). The race run holds every other gate:
+#   - allocation and byte ceilings: TestFleetSweepAllocGate and
+#     TestFig11ByteGate (root package, gates_test.go);
+#   - the abl-observer and abl-harvest self-gates: TestAblObserverGates and
+#     TestAblHarvestSurvivalRanking (internal/experiments);
+#   - the committed optimizer plan, emitted and replayed through the CLI:
+#     TestOptimizeCommittedExample (cmd/iotfleet).
+check: vet lint-scheme race fuzz
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 10s ./internal/coapmsg
@@ -73,42 +78,6 @@ obs-smoke:
 		-trace $(OBS_TMP)/obs-chaos-trace.json -counters -flight
 	$(GO) test -run 'TestObs|TestChromeTrace' ./internal/hub ./internal/obs
 
-# Observer-effect smoke: the abl-observer ablation enforces its own gates —
-# the External/zero-cost asymptote is byte-identical to the unobserved run,
-# energy inflation grows strictly with the sampling rate within every scheme,
-# and per-sample schemes inflate strictly more than batched ones — so simply
-# running it (plus the asymptote/chaos/analytic test suite) is the gate.
-observer-smoke:
-	$(GO) run ./cmd/experiments -id abl-observer > /dev/null
-	$(GO) test -run 'TestMeter' ./internal/hub ./internal/obs
-	@echo "observer-smoke: ok"
-
-# Optimizer determinism smoke: run the committed example search twice, demand
-# the two emitted plans are byte-identical AND equal to the committed plan,
-# then verify the plan's embedded replay spec reproduces its aggregates byte
-# for byte (and still beats every paper scheme) through `optimize
-# -check-replay`.
-OPT_TMP ?= /tmp
-opt-smoke:
-	$(GO) run ./cmd/iotfleet optimize -spec internal/optimizer/testdata/example.json \
-		-out $(OPT_TMP)/opt-smoke-1.json > /dev/null
-	$(GO) run ./cmd/iotfleet optimize -spec internal/optimizer/testdata/example.json \
-		-out $(OPT_TMP)/opt-smoke-2.json > /dev/null
-	cmp $(OPT_TMP)/opt-smoke-1.json $(OPT_TMP)/opt-smoke-2.json
-	cmp $(OPT_TMP)/opt-smoke-1.json internal/optimizer/testdata/example.plan.json
-	$(GO) run ./cmd/iotfleet optimize -check-replay internal/optimizer/testdata/example.plan.json
-	@echo "opt-smoke: ok"
-
-# Battery/harvest smoke: the abl-harvest ablation enforces its own gates —
-# the shared supply browns out at least one scheme and spares at least one,
-# survivors' survival equals the horizon, reruns are byte-identical, and the
-# fleet reproduces identical per-scenario records for any worker count — so
-# running it (plus the asymptote/brownout suite) is the gate.
-harvest-smoke:
-	$(GO) run ./cmd/experiments -id abl-harvest > /dev/null
-	$(GO) test -run 'TestBattery|TestArenaReuseBatteryArmed|TestBrownoutUnderChaos' ./internal/hub ./internal/power
-	@echo "harvest-smoke: ok"
-
 fmt:
 	gofmt -l -w .
 
@@ -117,44 +86,10 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Record a benchmark run as a trajectory point: parse the -bench output into
-# BENCH_<UTC stamp>.json (see cmd/benchjson). Commit the file to track
-# performance over time. BENCHTIME=2s for steadier numbers; default is the
-# go test default.
-BENCHTIME ?= 1s
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
-		| $(GO) run ./cmd/benchjson -o BENCH_$$(date -u +%Y%m%dT%H%M%SZ).json
-
-# Compare the two newest committed trajectory points (the UTC stamp in the
-# file name sorts lexically = chronologically) as a % delta table. A
-# trajectory with fewer than two points has nothing to compare yet — that is
-# a fresh checkout, not an error.
-bench-diff:
-	@set -- $$(ls BENCH_*.json 2>/dev/null | sort | tail -2); \
-	if [ $$# -lt 2 ]; then echo "bench-diff: need >=2 trajectory files, have $$#"; exit 0; fi; \
-	echo "bench-diff: $$1 -> $$2"; \
-	$(GO) run ./cmd/benchjson -diff $$1 $$2
-
 # One iteration of every benchmark: catches bit-rotted benchmark code in CI
-# without paying for real measurement. The last two steps are allocation
-# regression gates, and benchjson -gate fails the build when a hot path
-# regresses past one:
-#   - the arena keeps a steady-state fleet scenario at ~118 allocs;
-#     ALLOC_BUDGET pins the ceiling with headroom. The same sweep allocates
-#     ~3.4 MB per pass when sensor generators seed on first draw (5.2 MB
-#     when every source built its generator up front); the 4.5 MB/op
-#     ceiling sits between the two.
-#   - Fig. 11 allocates ~62 MB per pass with depth-bounded device queues
-#     (210.7 MB when the MCU queue grew with every push); the 100 MB/op
-#     ceiling sits between the two.
-ALLOC_BUDGET ?= 500
+# without paying for real measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'FleetSweep/workers=1$$' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -gate FleetSweep/workers=1 -max-allocs-per-scenario $(ALLOC_BUDGET) -max-mb-per-op 4.5
-	$(GO) test -run '^$$' -bench 'Fig11MultiApp$$' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchjson -gate Fig11MultiApp -max-mb-per-op 100
 
 # Regenerate every paper artifact (tables + figures) as ASCII.
 experiments:

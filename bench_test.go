@@ -119,13 +119,11 @@ func BenchmarkAblDMA(b *testing.B) {
 	benchExperiment(b, experiments.AblDMA, "A2 baseline")
 }
 
-// BenchmarkFleetSweep runs a 64-scenario grid through the fleet engine at
-// worker counts 1, 2, 4, and NumCPU. The aggregates are byte-identical at
-// every count (asserted by internal/fleet's tests); only wall clock changes,
-// so the workers=N/workers=1 ns/op ratios are the engine's scaling curve.
-// On a single-core host the curve is flat — the fixed counts keep the
-// trajectory comparable across differently-sized runners.
-func BenchmarkFleetSweep(b *testing.B) {
+// sweepSpec is the 64-scenario grid the fleet and service sweep benchmarks
+// and the allocation gate share: light apps, computations skipped, so the
+// cost measured is the engine's, not the apps'.
+func sweepSpec(tb testing.TB) fleet.Spec {
+	tb.Helper()
 	spec := fleet.Spec{
 		Seed: 7,
 		Grid: &fleet.Grid{
@@ -138,18 +136,26 @@ func BenchmarkFleetSweep(b *testing.B) {
 	}
 	scens, err := spec.Expand()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(scens) != 64 {
-		b.Fatalf("grid expands to %d scenarios, want 64", len(scens))
+		tb.Fatalf("grid expands to %d scenarios, want 64", len(scens))
 	}
+	return spec
+}
+
+// BenchmarkFleetSweep runs sweepSpec through the fleet engine at worker
+// counts 1, 2, 4, and NumCPU. The aggregates are byte-identical at every
+// count (asserted by internal/fleet's tests); only wall clock changes, so
+// the workers=N/workers=1 ns/op ratios are the engine's scaling curve.
+func BenchmarkFleetSweep(b *testing.B) {
+	spec := sweepSpec(b)
 	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
 		counts = append(counts, n)
 	}
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var last *fleet.Result
 			for i := 0; i < b.N; i++ {
 				res, err := fleet.Run(spec, fleet.Options{Workers: workers})
 				if err != nil {
@@ -158,29 +164,18 @@ func BenchmarkFleetSweep(b *testing.B) {
 				if res.Agg.Errors > 0 {
 					b.Fatalf("failed scenarios: %+v", res.Failed)
 				}
-				last = res
 			}
-			b.ReportMetric(float64(last.Completed), "scenarios")
 		})
 	}
 }
 
-// BenchmarkServiceSweep runs the same 64-scenario grid through the fleetd
-// coordinator with in-process loopback workers. The delta against
-// BenchmarkFleetSweep at the same worker count is the price of the
-// fault-tolerance machinery: sharding, leases, heartbeats, submission
-// fingerprints, and index-ordered folding.
+// BenchmarkServiceSweep runs sweepSpec through the fleetd coordinator with
+// in-process loopback workers. The delta against BenchmarkFleetSweep at the
+// same worker count is the price of the fault-tolerance machinery:
+// sharding, leases, heartbeats, submission fingerprints, and index-ordered
+// folding.
 func BenchmarkServiceSweep(b *testing.B) {
-	spec := fleet.Spec{
-		Seed: 7,
-		Grid: &fleet.Grid{
-			Apps:           [][]apps.ID{{apps.StepCounter}, {apps.M2X}, {apps.StepCounter, apps.M2X}, {apps.Blynk}},
-			Schemes:        []string{"baseline", "batching"},
-			Windows:        []int{1, 2},
-			QoS:            []float64{0.25, 0.5, 1, 2},
-			SkipAppCompute: true,
-		},
-	}
+	spec := sweepSpec(b)
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

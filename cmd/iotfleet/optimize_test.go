@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,6 +59,32 @@ func TestOptimizeEmitsAndChecksPlan(t *testing.T) {
 	}
 	if err := run([]string{"optimize", "-check-replay", planPath}, &check); err == nil {
 		t.Error("check-replay accepted tampered aggregates")
+	}
+}
+
+// TestOptimizeCommittedExample drives the committed example search through
+// the CLI: the emitted plan must equal the committed plan byte for byte, and
+// the committed plan's replay spec must reproduce its aggregates.
+func TestOptimizeCommittedExample(t *testing.T) {
+	const dir = "../../internal/optimizer/testdata"
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	var sb strings.Builder
+	if err := run([]string{"optimize", "-spec", filepath.Join(dir, "example.json"), "-out", planPath}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(planPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "example.plan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("emitted plan differs from the committed example.plan.json")
+	}
+	if err := run([]string{"optimize", "-check-replay", filepath.Join(dir, "example.plan.json")}, &sb); err != nil {
+		t.Fatalf("check-replay of the committed plan: %v", err)
 	}
 }
 

@@ -167,6 +167,13 @@ func TestAblProfileMeasuresRealCode(t *testing.T) {
 	}
 }
 
+// TestAblObserverGates runs AblObserver, whose own gates (the zero-cost
+// asymptote, monotone inflation with rate, per-sample over batched
+// ordering) fail the run: mustRun failing IS the test.
+func TestAblObserverGates(t *testing.T) {
+	mustRun(t, AblObserver)
+}
+
 func TestAblHarvestSurvivalRanking(t *testing.T) {
 	// AblHarvest enforces its own hard gates (contrast, consistency, replay,
 	// worker independence) — mustRun failing IS the test. On top of that,

@@ -62,7 +62,7 @@ func runPowered(scheme hub.Scheme, ids []apps.ID, sup *power.Supply) (*hub.RunRe
 
 // AblHarvest ranks the golden-corpus schemes by survival time on one shared
 // battery + harvest trace. Four properties are enforced, not just printed
-// (the make harvest-smoke gate):
+// (TestAblHarvestSurvivalRanking runs them):
 //
 //  1. Contrast: at this calibration at least one scheme browns out before
 //     the horizon and at least one survives to it — the supply genuinely

@@ -68,7 +68,7 @@ func runObserved(scheme hub.Scheme, ids []apps.ID, m *obs.MeterModel) (*hub.RunR
 // scheme runs unobserved, then under the Insitu meter at increasing sampling
 // rates, and the table reports the energy and busy-latency inflation the
 // instrument itself causes. Three properties are enforced, not just printed
-// (the make observer-smoke gate):
+// (TestAblObserverGates runs them):
 //
 //  1. Asymptote: the External preset (and rate→0) reproduces the unobserved
 //     run byte for byte — the instrument's mere existence costs nothing.

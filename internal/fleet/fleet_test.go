@@ -11,6 +11,7 @@ import (
 	"iothub/internal/apps"
 	"iothub/internal/hub"
 	"iothub/internal/obs"
+	"iothub/internal/power"
 )
 
 // testSpec is a small sweep over light apps: 2 mixes x 2 schemes x 2 QoS
@@ -124,6 +125,41 @@ func TestExpandMeterAxis(t *testing.T) {
 	for i := range scens {
 		if scens[i].Label() != rescens[i].Label() {
 			t.Errorf("scenario %d label changed across spec JSON: %s vs %s", i, scens[i].Label(), rescens[i].Label())
+		}
+	}
+}
+
+// TestExpandRejectsOversizedGrid feeds Expand two grids it must refuse
+// before allocating: one whose axes multiply past int, and one a single
+// scenario over MaxGridScenarios (17 x 61681 = 1<<20 + 1).
+func TestExpandRejectsOversizedGrid(t *testing.T) {
+	const long = 1000 // seven axes of 1000 multiply to 10^21 > MaxInt64
+	overflow := &Grid{
+		Apps:    make([][]apps.ID, long),
+		Schemes: make([]string, long),
+		Windows: make([]int, long),
+		QoS:     make([]float64, long),
+		Faults:  make([]string, long),
+		Meters:  make([]obs.MeterModel, long),
+		Power:   make([]power.Supply, long),
+	}
+	overCap := &Grid{
+		Apps:    make([][]apps.ID, 17),
+		Schemes: []string{"baseline"},
+		Windows: []int{1},
+		QoS:     make([]float64, 61681),
+	}
+	for _, tc := range []struct {
+		name string
+		grid *Grid
+		want string
+	}{
+		{"overflow", overflow, "overflows int"},
+		{"over cap", overCap, "1048577 scenarios"},
+	} {
+		_, err := Spec{Grid: tc.grid}.Expand()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Expand error = %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -6,23 +6,9 @@ import (
 	"testing"
 )
 
-// maxFuzzGrid bounds a fuzzed grid's cartesian product. Expand takes a spec
-// at its word, so a few long axes ask for billions of scenarios; the bound
-// keeps one fuzz input from allocating a sweep the size of the machine.
+// maxFuzzGrid bounds a fuzzed grid's cartesian product well below
+// MaxGridScenarios, so one fuzz input stays cheap to expand.
 const maxFuzzGrid = 4096
-
-// gridSize is the product of a grid's axis lengths (empty optional axes
-// count once), saturating just past maxFuzzGrid.
-func gridSize(g *Grid) int {
-	n := 1
-	for _, axis := range []int{len(g.Apps), len(g.Schemes), len(g.Windows),
-		max(len(g.QoS), 1), max(len(g.Faults), 1), max(len(g.Meters), 1), max(len(g.Power), 1)} {
-		if n *= axis; n > maxFuzzGrid {
-			return maxFuzzGrid + 1
-		}
-	}
-	return n
-}
 
 // FuzzParseSpec feeds arbitrary bytes through the sweep-spec path a user's
 // file takes — ParseSpec, Expand, then Config on the first 64 scenarios —
@@ -43,8 +29,13 @@ func FuzzParseSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		spec, err := ParseSpec(bytes.NewReader(blob))
-		if err != nil || (spec.Grid != nil && gridSize(spec.Grid) > maxFuzzGrid) {
+		if err != nil {
 			return
+		}
+		if spec.Grid != nil {
+			if n, err := spec.Grid.size(); err != nil || n > maxFuzzGrid {
+				return
+			}
 		}
 		scens, err := spec.Expand()
 		if err != nil {

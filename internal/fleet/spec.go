@@ -31,6 +31,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 
 	"iothub/internal/apps"
@@ -104,11 +106,35 @@ func LoadSpec(path string) (Spec, error) {
 	return ParseSpec(f)
 }
 
+// MaxGridScenarios caps a grid's cartesian product. Expand allocates one
+// scenario per grid cell, so a spec with a few long axes could otherwise ask
+// for billions; the largest grid the repo ships expands to 675.
+const MaxGridScenarios = 1 << 20
+
+// size returns the grid's cartesian product (empty optional axes count
+// once), refusing one that overflows int or passes MaxGridScenarios.
+func (g *Grid) size() (int, error) {
+	n := 1
+	for _, axis := range []int{len(g.Apps), len(g.Schemes), len(g.Windows),
+		max(len(g.QoS), 1), max(len(g.Faults), 1), max(len(g.Meters), 1), max(len(g.Power), 1)} {
+		hi, lo := bits.Mul64(uint64(n), uint64(axis))
+		if hi != 0 || lo > math.MaxInt {
+			return 0, fmt.Errorf("fleet: grid product overflows int (cap %d scenarios)", MaxGridScenarios)
+		}
+		n = int(lo)
+	}
+	if n > MaxGridScenarios {
+		return 0, fmt.Errorf("fleet: grid expands to %d scenarios, over the cap of %d", n, MaxGridScenarios)
+	}
+	return n, nil
+}
+
 // Expand flattens the spec into its scenario sequence in a fixed order —
 // grid first (apps, then schemes, then windows, then QoS, then faults,
 // innermost last), then the explicit list — assigning each scenario its
 // derived seed. The order is part of the fleet's deterministic identity:
-// index i always names the same scenario.
+// index i always names the same scenario. A grid over MaxGridScenarios is
+// an error.
 func (s Spec) Expand() ([]hub.Scenario, error) {
 	var out []hub.Scenario
 	if s.Grid != nil {
@@ -116,6 +142,11 @@ func (s Spec) Expand() ([]hub.Scenario, error) {
 		if len(g.Apps) == 0 || len(g.Schemes) == 0 || len(g.Windows) == 0 {
 			return nil, fmt.Errorf("fleet: grid needs apps, schemes, and windows")
 		}
+		n, err := g.size()
+		if err != nil {
+			return nil, err
+		}
+		out = make([]hub.Scenario, 0, n+len(s.Scenarios))
 		qos := g.QoS
 		if len(qos) == 0 {
 			qos = []float64{1}

@@ -101,7 +101,8 @@ func TestArenaCloneSurvivesRecycling(t *testing.T) {
 // state: the event kernel, device stack, meter tracks, and bookkeeping maps
 // are all revived in place. Measured ~32 on go1.24; the budget leaves 3x
 // headroom for toolchain drift. Raising it further means a hot path
-// regressed; see `make bench-smoke` for the CI gate on the full sweep.
+// regressed; TestFleetSweepAllocGate in the root package gates the full
+// sweep.
 const arenaAllocBudget = 100
 
 // TestArenaSteadyStateAllocs pins the per-scenario allocation count of a

@@ -149,8 +149,9 @@ var update = flag.Bool("update", false, "rewrite the committed example plan")
 
 // TestExamplePlanGolden pins the committed example search end to end: the
 // spec in testdata/example.json must emit exactly the committed plan (the
-// artifact `iotfleet optimize` wrote and `make opt-smoke` re-verifies), and
-// that plan must beat every paper scheme.
+// artifact `iotfleet optimize` wrote, which cmd/iotfleet's
+// TestOptimizeCommittedExample re-verifies through the CLI), and that plan
+// must beat every paper scheme.
 func TestExamplePlanGolden(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "example.json"))
 	if err != nil {
